@@ -1,4 +1,10 @@
-"""Rank-correlation analytics, decay sweeps, convergence and timing reports."""
+"""Rank-correlation analytics, decay sweeps, convergence and timing reports.
+
+``delta_sweep`` costs one power iteration (lambda1 and the EC column), one
+PageRank, one EPG and a single multi-decay GPG series pass, whose SpMV
+count is that of the largest delta_star alone. Every vector is ranked once
+and each Spearman coefficient is computed from the ranks.
+"""
 
 from __future__ import annotations
 
@@ -9,12 +15,12 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from pgain import baselines, spectral
-from pgain.errors import ParameterError, UndefinedCorrelationError
+from pgain.errors import ParameterError, PgainError, UndefinedCorrelationError
 from pgain.gain import (
     GainParams,
+    _run_series,
     exponential_potential_gain,
     gain_with_trace,
-    geometric_potential_gain,
 )
 from pgain.graph import Graph
 from pgain.vectors import CentralityVector, ConvergenceTrace
@@ -52,19 +58,23 @@ def spearman_rho(a: Sequence[float], b: Sequence[float]) -> float:
     y = np.asarray(b, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise ParameterError(f"shape mismatch: {x.shape} vs {y.shape}")
-    n = x.size
-    if n < 2:
+    if x.size < 2:
         raise ParameterError("need at least two observations")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ParameterError("inputs must be finite")
-    rx = average_ranks(x)
-    ry = average_ranks(y)
+    return _rho_from_ranks(average_ranks(x), average_ranks(y))
+
+
+def _rho_from_ranks(rx: np.ndarray, ry: np.ndarray) -> float:
+    """Pearson correlation of two rank vectors (the Spearman step after
+    ranking), so a sweep can rank each vector once and correlate many
+    pairs."""
     if rx.min() == rx.max() or ry.min() == ry.max():
         raise UndefinedCorrelationError("zero rank variance (constant input)")
     # identical (or exactly mirrored) rank vectors short-circuit to exact +/-1
     if np.array_equal(rx, ry):
         return 1.0
-    if np.array_equal(rx, (n + 1.0) - ry):
+    if np.array_equal(rx, (rx.size + 1.0) - ry):
         return -1.0
     dx = rx - rx.mean()
     dy = ry - ry.mean()
@@ -125,12 +135,14 @@ def correlation_matrix(
 @dataclass(frozen=True)
 class SweepResult:
     """Correlations of the geometric gain against the other metrics, per
-    normalized decay value."""
+    normalized decay value. ``converged`` is False when power iteration,
+    PageRank, EPG or the GPG series at any grid value stopped at its cap."""
 
     delta_star_grid: np.ndarray
     rho: dict  # column name -> array aligned with the grid (NaN = undefined)
     alpha: float
     lambda1: float
+    converged: bool
 
     def to_csv(self) -> str:
         lines = ["delta_star," + ",".join(f"rho_{c}" for c in SWEEP_COLUMNS)]
@@ -151,37 +163,53 @@ def delta_sweep(
     lambda1: float | None = None,
     warn: Callable[[str], None] | None = None,
 ) -> SweepResult:
-    """Correlate GPG (and Katz) against the fixed baselines across the grid."""
+    """Correlate GPG (and Katz) against the fixed baselines across the grid.
+
+    One power iteration gives lambda1 (unless supplied) and the EC column.
+    Every grid GPG comes from one series pass, which costs about the SpMVs
+    of the largest delta_star alone. The Katz column is 1 + delta * GPG,
+    the identity Katz = 1 + delta A Katz, rather than a separate solve.
+    Each vector is ranked once.
+    """
     grid = np.asarray(DEFAULT_GRID if grid is None else grid, dtype=np.float64)
     if grid.size == 0 or np.any(grid <= 0) or np.any(grid >= 1):
         raise ParameterError("grid values must lie strictly inside (0, 1)")
     if np.any(np.diff(grid) <= 0):
         raise ParameterError("grid must be strictly ascending")
-    lam = lambda1 if lambda1 is not None else spectral.power_iteration(g).lambda1
+    spectrum = spectral.power_iteration(g)
+    lam = spectrum.lambda1 if lambda1 is None else lambda1
+    deltas = [
+        GainParams(delta_star=float(star)).resolve_delta(lam) for star in grid
+    ]
 
-    fixed = {
-        "deg": baselines.degree_centrality(g).scores,
-        "ec": spectral.eigenvector_centrality(g).scores,
-        "pr": baselines.pagerank(g, alpha=alpha, tolerance=tolerance).scores,
-        "epg": exponential_potential_gain(
-            g, GainParams(tolerance=tolerance)
-        ).scores,
+    pr = baselines.pagerank(g, alpha=alpha, tolerance=tolerance)
+    epg = exponential_potential_gain(g, GainParams(tolerance=tolerance))
+    fixed_ranks = {
+        "deg": average_ranks(g.degrees),
+        "ec": average_ranks(spectrum.eigenvector),
+        "pr": average_ranks(pr.scores),
+        "epg": average_ranks(epg.scores),
     }
+    series = _run_series(
+        g, "geometric", deltas, GainParams(tolerance=tolerance)
+    )
+    converged = spectrum.converged and pr.converged and epg.converged
     rho = {c: np.full(grid.size, np.nan) for c in SWEEP_COLUMNS}
-    for row, star in enumerate(grid):
-        p = GainParams(delta_star=float(star), tolerance=tolerance)
-        gpg = geometric_potential_gain(g, p, lambda1=lam).scores
-        katz = baselines.katz_centrality(
-            g, delta=float(star) / lam, tolerance=tolerance, lambda1=lam
-        ).scores
+    for row, (star, delta, (gpg, _, gpg_converged)) in enumerate(
+        zip(grid, deltas, series)
+    ):
+        if not np.all(np.isfinite(gpg)):
+            raise PgainError(f"gpg at delta_star={star:g}: non-finite scores")
+        converged &= gpg_converged
+        gpg_ranks = average_ranks(gpg)
+        ranks = dict(fixed_ranks, katz=average_ranks(1.0 + delta * gpg))
         for column in SWEEP_COLUMNS:
-            other = katz if column == "katz" else fixed[column]
             try:
-                rho[column][row] = spearman_rho(gpg, other)
+                rho[column][row] = _rho_from_ranks(gpg_ranks, ranks[column])
             except UndefinedCorrelationError as exc:
                 if warn is not None:
                     warn(f"delta_star={star:g} rho_{column}: {exc}")
-    return SweepResult(grid, rho, alpha, lam)
+    return SweepResult(grid, rho, alpha, lam, converged)
 
 
 def convergence_report(

@@ -205,10 +205,15 @@ def _write_scores(path: Path, graph: Graph, vector: CentralityVector,
 
 
 def _cmd_sweep(args) -> int:
-    graph = _load_graph(args.input)
     grid = None
     if args.grid is not None:
-        grid = [float(tok) for tok in args.grid.split(",") if tok.strip()]
+        try:
+            grid = [float(tok) for tok in args.grid.split(",") if tok.strip()]
+        except ValueError:
+            print(f"pgain: error: --grid must be comma-separated numbers,"
+                  f" got {args.grid!r}", file=sys.stderr)
+            return EXIT_PARAMS
+    graph = _load_graph(args.input)
     warnings: list[str] = []
     result = analysis.delta_sweep(
         graph, grid=grid, alpha=args.alpha, tolerance=args.tol,
@@ -229,6 +234,10 @@ def _cmd_sweep(args) -> int:
             rows.append(row)
         payload = {"alpha": result.alpha, "lambda1": result.lambda1, "rows": rows}
         _emit(args.out, json.dumps(payload, indent=2) + "\n")
+    if not result.converged:
+        print("pgain: warning: a computation stopped at its iteration cap"
+              " before converging", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
     return EXIT_OK
 
 

@@ -10,6 +10,13 @@ matrix-vector product per term:
 
 The series stops at ``max_walk_length`` terms or once the latest term's
 relative L2 contribution drops below ``tolerance``, whichever comes first.
+
+One loop, ``_run_series``, evaluates both series for every caller. The
+geometric terms A^k 1 do not depend on delta, so the same pass can carry
+several decays at once (the delta_star sweep): the terms are computed for
+the largest delta and rescaled into one accumulator per decay, each with
+its own stop rule. GPG is also (Katz - 1) / delta, with Katz = (I - delta
+A)^(-1) 1.
 """
 
 from __future__ import annotations
@@ -102,7 +109,9 @@ def geometric_potential_gain(
     params = params or GainParams()
     lam = _lambda1(g, lambda1)
     delta = params.resolve_delta(lam)
-    scores, iterations, converged = _run_series(g, "geometric", delta, params)
+    [(scores, iterations, converged)] = _run_series(
+        g, "geometric", (delta,), params
+    )
     return CentralityVector(
         scores=scores,
         metric="gpg",
@@ -117,7 +126,9 @@ def exponential_potential_gain(
 ) -> CentralityVector:
     """Exponential potential gain of every node (parameter-free decay)."""
     params = params or GainParams()
-    scores, iterations, converged = _run_series(g, "exponential", 0.0, params)
+    [(scores, iterations, converged)] = _run_series(
+        g, "exponential", (0.0,), params
+    )
     return CentralityVector(
         scores=scores,
         metric="epg",
@@ -169,7 +180,7 @@ def gain_with_trace(
         ref_kind = "dense-oracle"
     else:
         long_params = replace(params, max_walk_length=None, tolerance=1e-15)
-        reference, _, _ = _run_series(g, kind, delta, long_params)
+        [(reference, _, _)] = _run_series(g, kind, (delta,), long_params)
         ref_kind = "long-run"
     ref_norm = float(np.linalg.norm(reference))
 
@@ -181,7 +192,9 @@ def gain_with_trace(
         else:
             errors.append((k, float(np.linalg.norm(reference - acc) / ref_norm)))
 
-    scores, iterations, converged = _run_series(g, kind, delta, params, record)
+    [(scores, iterations, converged)] = _run_series(
+        g, kind, (delta,), params, record
+    )
     snapshot = params.snapshot(delta=None, delta_star=None)
     if kind == "geometric":
         snapshot.update(delta=delta, delta_star=delta * lam, lambda1=lam)
@@ -201,51 +214,67 @@ def gain_with_trace(
     return vector, trace
 
 
-def _run_series(g, kind, delta, params, per_term=None):
-    """Shared truncated-series loop; returns (scores, terms_used, converged)."""
+def _run_series(g, kind, deltas, params, per_term=None):
+    """The one truncated-series loop, shared by every gain computation.
+
+    Returns one ``(scores, terms_used, converged)`` per entry of ``deltas``.
+    The walk terms A^k 1 do not depend on the decay, so one pass serves
+    several geometric decays: it computes the terms scaled by the largest
+    decay and adds (delta_j / delta_max)^(k-1) times each term into
+    accumulator j. Each accumulator stops on its own relative term norm
+    and is then frozen; the pass ends when every one has stopped. With a
+    single decay the arithmetic is exactly the single-series recurrence.
+    The exponential kind takes ``deltas=(0.0,)``. ``per_term(k, acc)``
+    sees the first accumulator after every term.
+    """
     n = g.node_count
     if n == 0 or g.edge_count == 0:
         zeros = np.zeros(n)
         if per_term is not None and (params.max_walk_length or 1) >= 1:
             per_term(1, zeros)
-        return zeros, 1, True
+        return [(zeros.copy(), 1, True) for _ in deltas]
 
+    top = max(deltas)
+    ratios = [d / top if kind == "geometric" else 1.0 for d in deltas]
     term = g.spmv(np.ones(n))  # A 1, the walk-length-1 term
-    acc = term.copy()
+    accs = [term.copy() for _ in deltas]
     spare = np.empty_like(term)  # ping-pong buffer: no allocation per term
     k = 1
     max_term_norm = 0.0
     if per_term is not None:
-        per_term(k, acc)
+        per_term(k, accs[0])
 
     limit = params.max_walk_length or SAFETY_MAX_TERMS
-    converged = params.max_walk_length is not None
-    while k < limit:
-        scale = delta if kind == "geometric" else 1.0 / k
+    truncated_ok = params.max_walk_length is not None
+    stopped = [None] * len(deltas)  # (terms_used, converged) once frozen
+    active = list(range(len(deltas)))
+    while active and k < limit:
+        scale = top if kind == "geometric" else 1.0 / k
         g.spmv(term, scale=scale, out=spare)
         term, spare = spare, term
-        acc += term
         k += 1
-        if per_term is not None:
-            per_term(k, acc)
         term_norm = float(np.linalg.norm(term))
         max_term_norm = max(max_term_norm, term_norm)
-        if (
-            params.tolerance is not None
-            and term_norm < params.tolerance * float(np.linalg.norm(acc))
-        ):
-            converged = True
-            break
-    else:
-        if params.max_walk_length is None:
-            converged = False  # hit the safety cap
+        for j in active:
+            coef = ratios[j] ** (k - 1)  # 1.0 exactly for the largest decay
+            accs[j] += term if coef == 1.0 else coef * term
+            if params.tolerance is not None and coef * term_norm < (
+                params.tolerance * float(np.linalg.norm(accs[j]))
+            ):
+                stopped[j] = (k, True)
+        if per_term is not None:
+            per_term(k, accs[0])
+        active = [j for j in active if stopped[j] is None]
+    for j in active:
+        # the walk-length cap binds: converged only when the caller set it
+        stopped[j] = (k, truncated_ok)
     if max_term_norm > TERM_NORM_WARN:
         warnings.warn(
             f"{kind} gain: intermediate term norm reached {max_term_norm:.3g}; "
             "scores may lose precision",
             RuntimeWarning,
         )
-    return acc, k, converged
+    return [(acc, *stop) for acc, stop in zip(accs, stopped)]
 
 
 def _lambda1(g: Graph, lambda1: float | None) -> float:

@@ -14,10 +14,15 @@ from pgain import (
     degree_centrality,
     delta_sweep,
     exponential_potential_gain,
+    geometric_potential_gain,
+    pagerank,
+    power_iteration,
     spearman_rho,
 )
 from pgain.analysis import SWEEP_COLUMNS, average_ranks, timed
 from pgain.generate import ring_edges
+
+from conftest import ba_graph
 
 
 class TestSpearman:
@@ -141,6 +146,24 @@ class TestDeltaSweep:
         lines = result.to_csv().strip().split("\n")
         assert lines[0] == "delta_star,rho_deg,rho_ec,rho_pr,rho_katz,rho_epg"
         assert len(lines) == 3
+
+    def test_one_series_pass_and_one_power_iteration(self, monkeypatch):
+        g = ba_graph(300, 3, seed=3)
+        grid = [0.1, 0.5, 0.9]
+        expected = (
+            power_iteration(g).iterations
+            + pagerank(g).iterations_used
+            + exponential_potential_gain(g).iterations_used
+            + geometric_potential_gain(g, GainParams(delta_star=0.9)).iterations_used
+        )
+        calls = []
+        spmv = Graph.spmv
+        monkeypatch.setattr(
+            Graph, "spmv", lambda self, *a, **k: calls.append(1) or spmv(self, *a, **k)
+        )
+        result = delta_sweep(g, grid=grid)
+        assert result.converged
+        assert len(calls) == expected
 
     def test_bad_grid_rejected(self, star_plus_tail):
         with pytest.raises(ParameterError):

@@ -141,6 +141,27 @@ class TestSweep:
         assert main(["sweep", "--out", str(out), str(er)]) == 0
         assert len(out.read_text().strip().split("\n")) == 10
 
+    def test_edgeless_graph_emits_empty_fields(self, tmp_path, capsys):
+        loops = tmp_path / "loops.txt"
+        loops.write_text("1 1\n2 2\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--grid", "0.5", "--out", str(out), str(loops)]) == 0
+        assert out.read_text().strip().split("\n")[1].split(",")[1:] == [""] * 5
+        assert "undefined correlation" in capsys.readouterr().err
+
+    def test_bad_grid_is_parameter_error(self, star_tail_file, capsys):
+        assert main(["sweep", "--grid", "0.2,abc", str(star_tail_file)]) == 2
+        assert "pgain: error:" in capsys.readouterr().err
+
+    def test_power_iteration_cap_exits_3(self, tmp_path, capsys):
+        # the path P_500 has a tiny spectral gap: power iteration hits its cap
+        path = tmp_path / "p500.txt"
+        path.write_text("".join(f"{i} {i + 1}\n" for i in range(499)))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--grid", "0.5", "--out", str(out), str(path)]) == 3
+        assert len(out.read_text().strip().split("\n")) == 2
+        assert "converg" in capsys.readouterr().err
+
     def test_json_format(self, star_tail_file, tmp_path):
         out = tmp_path / "sweep.json"
         assert main(["sweep", "--grid", "0.5", "--format", "json",

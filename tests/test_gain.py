@@ -17,6 +17,7 @@ from pgain import (
     spearman_rho,
 )
 from pgain import oracle
+from pgain.gain import _run_series
 
 from conftest import ba_graph, er_graph, rel_err
 
@@ -252,3 +253,38 @@ class TestParameterValidation:
         )
         assert v.iterations_used < 500
         assert v.converged
+
+
+class TestSeriesEngine:
+    @pytest.mark.parametrize(
+        "g", [ba_graph(300, 3, seed=5), er_graph(300, 0.02, seed=6)],
+        ids=["ba", "er"],
+    )
+    def test_multi_decay_matches_separate_solves(self, g):
+        lam = power_iteration(g).lambda1
+        stars = [0.01, 0.5, 0.99]
+        params = GainParams(tolerance=1e-12)
+        series = _run_series(g, "geometric", [s / lam for s in stars], params)
+        for star, (scores, terms, converged) in zip(stars, series):
+            alone = geometric_potential_gain(
+                g, GainParams(delta_star=star, tolerance=1e-12), lambda1=lam
+            )
+            assert converged
+            assert rel_err(scores, alone.scores) <= 1e-12
+            # each accumulator freezes on its own stop rule
+            assert abs(terms - alone.iterations_used) <= 1
+
+    def test_single_decay_is_the_plain_recurrence(self):
+        g = ba_graph(200, 3, seed=2)
+        delta, tol = 0.3 / power_iteration(g).lambda1, 1e-12
+        term = g.spmv(np.ones(g.node_count))
+        acc, k = term.copy(), 1
+        while True:
+            term = g.spmv(term, scale=delta)
+            acc += term
+            k += 1
+            if np.linalg.norm(term) < tol * np.linalg.norm(acc):
+                break
+        v = geometric_potential_gain(g, GainParams(delta=delta, tolerance=tol))
+        assert np.array_equal(v.scores, acc)
+        assert v.iterations_used == k
