@@ -140,11 +140,16 @@ def _cmd_compute(args) -> int:
     if graph.node_count == 0:
         print("pgain: error: empty graph", file=sys.stderr)
         return EXIT_PARAMS
-    lam = power_iteration(graph).lambda1
+    estimate = power_iteration(graph)
+    lam = estimate.lambda1
     wanted = METRICS if args.metric == "all" else (args.metric,)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     all_converged = True
+    if not estimate.converged and {"katz", "gpg"} & set(wanted):
+        print("pgain: warning: the lambda1 power iteration stopped at its"
+              " iteration cap before converging", file=sys.stderr)
+        all_converged = False
     for metric in wanted:
         start = time.perf_counter()
         vector = _compute_metric(graph, metric, args, lam)

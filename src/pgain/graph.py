@@ -5,11 +5,22 @@ Graphs are built from whitespace-separated edge lists (KONECT-style ``%`` or
 contiguous internal indices in first-seen order; self-loops are dropped (and
 counted) and duplicate edges collapsed, so the adjacency matrix is always a
 symmetric 0/1 matrix. Instances are immutable and safe for concurrent reads.
+
+A file path is read by a vectorised reader when the file is plain ASCII: numpy
+finds the first two tokens of each line block by block, packs them into
+uint64 words, groups equal labels by a hash checked word by word, and numbers
+them by first occurrence. A file it cannot take exactly (non-ASCII or control
+bytes, a lone CR, a line with one token, a hash collision, a label over 64
+bytes, custom comment prefixes, a kept self-loop, or a path that is not a
+regular file) goes through the line reader, which streams and iterables
+always use; both give the same graph.
+The CSR arrays come from sorting packed ``lo * n + hi`` edge keys.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -89,25 +100,20 @@ class Graph:
 
     @classmethod
     def _from_index_pairs(cls, us, vs, labels, self_loops_dropped=0) -> "Graph":
+        # Each undirected edge is the packed key lo*n + hi; sorting the keys
+        # orders the pairs lexicographically, so one sort deduplicates and
+        # a second sort of both directions yields the CSR rows in order.
         n = len(labels)
-        lo = np.minimum(us, vs)
-        hi = np.maximum(us, vs)
-        if lo.size:
-            order = np.lexsort((hi, lo))
-            lo, hi = lo[order], hi[order]
-            keep = np.ones(lo.size, dtype=bool)
-            keep[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-            dupes = int(lo.size - keep.sum())
-            lo, hi = lo[keep], hi[keep]
-        else:
-            dupes = 0
-        rows = np.concatenate([lo, hi])
-        cols = np.concatenate([hi, lo])
-        order = np.lexsort((cols, rows))
-        rows, cols = rows[order], cols[order]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        indices = np.ascontiguousarray(cols, dtype=np.int64)
+        key = np.minimum(us, vs) * n + np.maximum(us, vs)
+        key.sort()
+        key = key[np.diff(key, prepend=-1) != 0]
+        dupes = len(us) - key.size
+        lo, hi = np.divmod(key, n)
+        both = np.concatenate([hi * n + lo, key])
+        del key, lo, hi
+        both.sort()
+        indptr = np.searchsorted(both, np.arange(n + 1, dtype=np.int64) * n)
+        indices = np.remainder(both, n, out=both)
         indptr.flags.writeable = False
         indices.flags.writeable = False
         return cls(
@@ -193,21 +199,6 @@ class Graph:
         labels = self.labels
         return "".join(f"{labels[i]} {labels[j]}\n" for i, j in self.canonical_edges())
 
-    def write_edge_list(self, target) -> None:
-        text = self.to_edge_list_text()
-        if hasattr(target, "write"):
-            target.write(text)
-        else:
-            Path(target).write_text(text)
-
-    def structure_equal(self, other: "Graph") -> bool:
-        """Same CSR arrays (labels ignored)."""
-        return (
-            self.node_count == other.node_count
-            and np.array_equal(self.indptr, other.indptr)
-            and np.array_equal(self.indices, other.indices)
-        )
-
     def equals_labeled(self, other: "Graph") -> bool:
         """Same labeled graph: equal label sets and equal edge sets."""
         if (
@@ -245,16 +236,31 @@ def parse_edge_list(
     skipped. Empty input yields the empty graph. With ``drop_self_loops``
     (default) loop lines are dropped and counted; otherwise a loop is a parse
     error. Endpoints of dropped loops still register their node.
-    """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            return parse_edge_list(handle, comment_prefixes, drop_self_loops)
 
+    A path is first read by the vectorised ASCII reader; whatever it cannot
+    take exactly goes through the line reader, which gives the same graph
+    and reports errors with their line numbers.
+    """
+    if not isinstance(source, (str, Path)):
+        return _parse_lines(source, comment_prefixes, drop_self_loops)
+    # a pipe cannot be read a second time by the line reader
+    if comment_prefixes == COMMENT_PREFIXES and os.path.isfile(source):
+        graph = _parse_ascii_file(source, drop_self_loops)
+        if graph is not None:
+            return graph
+    try:
+        with open(source, "r", encoding="utf-8") as handle:
+            return _parse_lines(handle, comment_prefixes, drop_self_loops)
+    except UnicodeDecodeError:
+        raise _utf8_error(Path(source).read_bytes()) from None
+
+
+def _parse_lines(lines, comment_prefixes, drop_self_loops) -> Graph:
     index: dict[str, int] = {}
     us: list[int] = []
     vs: list[int] = []
     loops = 0
-    for line_no, line in enumerate(source, start=1):
+    for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith(comment_prefixes):
             continue
@@ -278,6 +284,216 @@ def parse_edge_list(
         tuple(index),
         self_loops_dropped=loops,
     )
+
+
+def _utf8_error(raw: bytes) -> ParseError:
+    """ParseError for the first invalid UTF-8 byte of ``raw``, with the line
+    number the text-mode reader gives it (LF, CRLF and a lone CR each end
+    a line)."""
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[: exc.start]
+        line_no = (head.count(b"\n") + head.count(b"\r")
+                   - head.count(b"\r\n") + 1)
+        return ParseError(f"invalid UTF-8 byte 0x{raw[exc.start]:02x}",
+                          line_no=line_no)
+    return ParseError("input changed while it was read")
+
+
+# -- vectorised reader for plain-ASCII files ---------------------------------
+#
+# The file is read in blocks of whole lines. In each block numpy finds the
+# first two tokens of every line and packs each into little-endian uint64
+# words, zero-padded (a token never holds a NUL byte, so equal words mean
+# equal tokens). Across the file, tokens are sorted by a hash of their words,
+# tokens with equal hashes are checked word by word to be equal, and the
+# groups are numbered in order of first occurrence. Anything the line reader
+# would treat differently makes the reader return None.
+
+_BLOCK_BYTES = 1 << 20
+_MAX_WORDS = 8  # endpoint labels longer than 64 bytes take the line reader
+_PAD = 8 * _MAX_WORDS  # zero bytes after each block, so word reads stay inside
+_LOW_BYTES = np.array([(1 << (8 * r)) - 1 for r in range(9)], dtype=np.uint64)
+
+
+def _parse_ascii_file(path, drop_self_loops: bool) -> Graph | None:
+    with open(path, "rb") as handle:
+        columns = _read_endpoint_words(handle)
+    if columns is None:
+        return None
+    if not columns:
+        empty = np.zeros(0, dtype=np.int64)
+        return Graph._from_index_pairs(empty, empty, ())
+    grouped = _group_tokens(columns)
+    if grouped is None:
+        return None
+    order, new_group = grouped
+    first = np.minimum.reduceat(order, np.flatnonzero(new_group))
+    rank = np.argsort(first)  # groups in order of first occurrence
+    labels = _decode(columns, first[rank])
+    del columns, first
+    node = np.empty(rank.size, dtype=np.int64)  # node id of each group
+    node[rank] = np.arange(rank.size)
+    group = np.cumsum(new_group) - 1  # group of each token in hash order
+    del new_group
+    ids = np.empty(order.size, dtype=np.int64)
+    ids[order] = node[group]
+    del order, group
+    us, vs = ids[0::2], ids[1::2]
+    loop = us == vs
+    loops = int(np.count_nonzero(loop))
+    if loops and not drop_self_loops:
+        return None
+    if loops:
+        us, vs = us[~loop], vs[~loop]
+    del ids, loop
+    return Graph._from_index_pairs(us, vs, labels, self_loops_dropped=loops)
+
+
+def _read_endpoint_words(handle) -> list[np.ndarray] | None:
+    """Word columns of every endpoint token in file order, or None when a
+    block needs the line reader. The columns are sized for the token count
+    the bytes read so far predict for the whole file (pages never written
+    cost no memory) and at least doubled when that falls short."""
+    total = os.fstat(handle.fileno()).st_size
+    columns: list[np.ndarray] = []
+    capacity = count = done = 0
+    for block in _line_blocks(handle):
+        done += block.size - 1 - _PAD
+        words = _endpoint_words(block)
+        if words is None:
+            return None
+        end = count + (words[0].size if words else 0)
+        if end > capacity:
+            capacity = max(end, 2 * capacity, int(end * 1.05 * total / done))
+            columns = [_resized(column[:count], capacity) for column in columns]
+        while len(columns) < len(words):
+            columns.append(np.zeros(capacity, dtype=np.uint64))
+        for column, word in zip(columns, words):
+            column[count:end] = word
+        count = end
+    return [column[:count] for column in columns]
+
+
+def _resized(column: np.ndarray, capacity: int) -> np.ndarray:
+    out = np.zeros(capacity, dtype=np.uint64)
+    out[: column.size] = column
+    return out
+
+
+def _line_blocks(handle) -> Iterator[np.ndarray]:
+    """Yield the file as uint8 arrays of whole lines, about ``_BLOCK_BYTES``
+    each and followed by ``_PAD`` zero bytes; a missing final newline is
+    supplied."""
+    parts: list = []
+    for chunk in iter(lambda: handle.read(_BLOCK_BYTES), b""):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield _padded(parts + [memoryview(chunk)[:cut]])
+            parts = []
+        parts.append(memoryview(chunk)[cut:])
+    if any(len(part) for part in parts):
+        yield _padded(parts + [b"\n"])
+
+
+def _padded(parts) -> np.ndarray:
+    size = sum(len(part) for part in parts)
+    out = np.zeros(1 + size + _PAD, dtype=np.uint8)
+    out[0] = ord("\n")  # so that the first line starts after a newline
+    pos = 1
+    for part in parts:
+        out[pos : pos + len(part)] = np.frombuffer(part, dtype=np.uint8)
+        pos += len(part)
+    return out
+
+
+def _endpoint_words(padded: np.ndarray) -> list[np.ndarray] | None:
+    """Words of the two endpoint tokens of every data line in one block,
+    interleaved (u, v, u, v, ...): column ``k`` holds bytes 8k..8k+7. None
+    when the block holds a byte the line reader could see differently (non-
+    ASCII, a control byte, a lone CR), a data line with a single token or
+    an endpoint longer than ``_MAX_WORDS`` words."""
+    data = padded[:-_PAD]
+    if data.max() >= 0x80:
+        return None
+    control = np.flatnonzero(data < 0x20)
+    code = data[control]
+    newline = code == ord("\n")
+    if not np.all(newline | (code == ord("\t")) | (code == ord("\r"))):
+        return None
+    if np.any(data[control[code == ord("\r")] + 1] != ord("\n")):
+        return None
+    token = data > 0x20
+    bounds = np.flatnonzero(token[1:] != token[:-1]) + 1
+    del token
+    starts, lengths = bounds[0::2], bounds[1::2] - bounds[0::2]
+    # the first token after each newline, once per line that has tokens;
+    # the tokens up to the next such first token share its line
+    firsts = np.searchsorted(starts, control[newline])
+    firsts = firsts[np.diff(firsts, append=starts.size) > 0]
+    per_line = np.diff(firsts, append=starts.size)
+    lead = data[starts[firsts]]
+    data_line = (lead != ord("%")) & (lead != ord("#"))
+    if np.any(per_line[data_line] < 2):
+        return None
+    tokens = np.repeat(firsts[data_line], 2)
+    tokens[1::2] += 1
+    starts, lengths = starts[tokens], lengths[tokens]
+    width = -(-int(lengths.max()) // 8) if lengths.size else 0
+    if width > _MAX_WORDS:
+        return None
+    # window[i] is the little-endian word of the 8 bytes at offset i
+    window = np.ndarray((padded.size - 7,), dtype="<u8", buffer=padded,
+                        strides=(1,))
+    columns = []
+    for k in range(width):
+        word = window[starts + 8 * k].astype(np.uint64)
+        word &= _LOW_BYTES[np.clip(lengths - 8 * k, 0, 8)]
+        columns.append(word)
+    return columns
+
+
+def _hash_words(columns: list[np.ndarray]) -> np.ndarray:
+    """64-bit hash of each token: the splitmix64 finalizer chained over its
+    words (a bijection for one-word tokens)."""
+    h = np.zeros(columns[0].size, dtype=np.uint64)
+    for column in columns:
+        h ^= column
+        h ^= h >> np.uint64(30)
+        h *= np.uint64(0xBF58476D1CE4E5B9)
+        h ^= h >> np.uint64(27)
+        h *= np.uint64(0x94D049BB133111EB)
+        h ^= h >> np.uint64(31)
+    return h
+
+
+def _group_tokens(columns: list[np.ndarray]):
+    """Sort the tokens by hash: the sorting permutation, and a mask that is
+    True where a token differs from the one before it in that order. None if
+    two distinct tokens share a hash, which could leave equal tokens apart."""
+    h = _hash_words(columns)
+    order = np.argsort(h)
+    h.sort()
+    new_group = np.empty(h.size, dtype=bool)
+    new_group[:1] = True
+    np.not_equal(h[1:], h[:-1], out=new_group[1:])
+    del h
+    for column in columns:
+        words = column[order]
+        if not np.all((words[1:] == words[:-1]) | new_group[1:]):
+            return None
+    return order, new_group
+
+
+def _decode(columns: list[np.ndarray], rows: np.ndarray) -> tuple[str, ...]:
+    table = np.empty((rows.size, len(columns)), dtype="<u8")
+    for k, column in enumerate(columns):
+        table[:, k] = column[rows]
+    raw = table.view(f"S{8 * len(columns)}").ravel()
+    step = 1 << 14  # bytes objects for one slice at a time
+    return tuple(label.decode("ascii") for i in range(0, raw.size, step)
+                 for label in raw[i : i + step].tolist())
 
 
 def degree_vector(g: Graph) -> np.ndarray:

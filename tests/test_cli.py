@@ -113,6 +113,31 @@ class TestCompute:
         ])
         assert code == 3
 
+    def test_unconverged_lambda1_exits_3(self, tmp_path, capsys):
+        # the path P_500 has a tiny spectral gap: power iteration hits its cap
+        path = tmp_path / "p500.txt"
+        path.write_text("".join(f"{i} {i + 1}\n" for i in range(499)))
+        code = main(["compute", "--metric", "gpg", "--out", str(tmp_path),
+                     str(path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "pgain: warning: the lambda1 power iteration" in err
+        assert "metric=gpg n=500 m=499" in err
+        assert (tmp_path / "gpg.csv").exists()
+        # deg does not use lambda1, so the same estimate does not matter
+        assert main(["compute", "--metric", "deg", "--out", str(tmp_path),
+                     str(path)]) == 0
+
+    def test_non_utf8_input_is_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"a b\nb c\nc \xff\n")
+        code = main(["compute", "--metric", "deg", "--out", str(tmp_path),
+                     str(bad)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pgain: error: line 3: invalid UTF-8 byte 0xff")
+        assert "Traceback" not in err
+
 
 class TestSweep:
     def test_star_tail_katz_column(self, star_tail_file, tmp_path, capsys):

@@ -1,4 +1,7 @@
+import os
+import threading
 from io import StringIO
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgain import Graph, ParameterError, ParseError, degree_vector, parse_edge_list
+from pgain import graph as graph_module
 
 
 def parse(text, **kwargs):
@@ -192,3 +196,178 @@ def test_round_trip_canonical_edge_list(pairs):
     else:
         # isolated nodes (self-loop-only) cannot survive an edge list
         assert reparsed.edge_count == g.edge_count
+
+
+@given(edge_lists)
+@settings(max_examples=60, deadline=None)
+def test_csr_matches_adjacency_sets(pairs):
+    g = Graph.from_edges(pairs)
+    index = {label: i for i, label in enumerate(g.labels)}
+    adjacency = [set() for _ in g.labels]
+    for a, b in pairs:
+        i, j = index[str(a)], index[str(b)]
+        if i != j:
+            adjacency[i].add(j)
+            adjacency[j].add(i)
+    assert list(g.indptr) == [0] + list(np.cumsum([len(s) for s in adjacency]))
+    assert list(g.indices) == [j for s in adjacency for j in sorted(s)]
+    distinct = sum(len(s) for s in adjacency) // 2
+    loops = sum(str(a) == str(b) for a, b in pairs)
+    assert g.self_loops_dropped == loops
+    assert g.duplicates_collapsed == len(pairs) - loops - distinct
+
+
+# -- the vectorised reader of plain-ASCII files against the line reader -------
+
+def read_lines(path, **kwargs):
+    """Parse through the line reader: a text stream never takes the
+    vectorised reader."""
+    with open(path, encoding="utf-8") as handle:
+        return parse_edge_list(handle, **kwargs)
+
+
+def assert_same_graph(a, b):
+    assert a.labels == b.labels
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert a.self_loops_dropped == b.self_loops_dropped
+    assert a.duplicates_collapsed == b.duplicates_collapsed
+
+
+LABEL_CHARS = [chr(c) for c in range(0x21, 0x7F)]  # printable, with % and #
+SHARED_PREFIXES = ["abcdefgh", "abcdefgi", "%#%#%#%#", "12345678"]
+labels_st = st.one_of(
+    st.text(LABEL_CHARS, min_size=1, max_size=40),
+    st.builds(lambda head, tail: (head + tail)[:40],
+              st.sampled_from(SHARED_PREFIXES),
+              st.text(LABEL_CHARS, max_size=32)),
+)
+blank_st = st.text(" \t", max_size=3)
+gap_st = st.text(" \t", min_size=1, max_size=3)
+
+
+@st.composite
+def edge_list_files(draw):
+    """Edge-list text in bytes: data lines with trailing fields, comments
+    with leading whitespace, blank lines, LF or CRLF endings, loops and
+    (reversed) duplicates drawn from a small label pool."""
+    pool = draw(st.lists(labels_st, min_size=1, max_size=10))
+    lines = []
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(["edge", "edge", "edge", "comment", "blank"]))
+        if kind == "edge":
+            u, v = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+            fields = draw(st.lists(st.sampled_from(["1", "2.5", "1234567890",
+                                                    "x%y", "#"]), max_size=2))
+            body = draw(blank_st) + draw(gap_st).join([u, v, *fields])
+            line = body + draw(blank_st)
+        elif kind == "comment":
+            text = draw(st.text(LABEL_CHARS + [" ", "\t"], max_size=20))
+            line = draw(blank_st) + draw(st.sampled_from("%#")) + text
+        else:
+            line = draw(blank_st)
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n"])))
+    text = "".join(lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text.encode("ascii")
+
+
+@given(edge_list_files(), st.sampled_from([1 << 20, 64, 7]))
+@settings(max_examples=300, deadline=None)
+def test_ascii_reader_matches_line_reader(tmp_path_factory, raw, block):
+    path = tmp_path_factory.mktemp("ascii") / "edges.txt"
+    path.write_bytes(raw)
+    with mock.patch.object(graph_module, "_BLOCK_BYTES", block):
+        fast = graph_module._parse_ascii_file(path, drop_self_loops=True)
+        assert fast is not None
+        assert_same_graph(fast, read_lines(path))
+        assert_same_graph(parse_edge_list(path), fast)
+
+
+class TestAsciiReaderFallback:
+    """Files the vectorised reader hands to the line reader give the line
+    reader's graph or its error, with the same line number."""
+
+    def write(self, tmp_path, raw):
+        path = tmp_path / "edges.txt"
+        path.write_bytes(raw)
+        return path
+
+    @pytest.mark.parametrize("raw", [
+        "é b\nb c\n".encode(),  # non-ASCII label
+        b"a b\rb c\nc a\n",  # lone CR: a line break to the line reader
+        b"a\x0cb c\nb c\n",  # form feed: whitespace to the line reader
+        b"a\x0bb\n",  # vertical tab: ditto
+        b"x" * 65 + b" b\nb c\n",  # an endpoint longer than 64 bytes
+    ])
+    def test_same_graph(self, tmp_path, raw):
+        path = self.write(tmp_path, raw)
+        assert graph_module._parse_ascii_file(path, drop_self_loops=True) is None
+        assert_same_graph(parse_edge_list(path), read_lines(path))
+
+    @pytest.mark.parametrize("raw, line_no", [
+        (b"a b\nlonely\nc d\n", 2),
+        (b"% head\r\n\r\n  # note\r\na b\r\nlonely  \r\n", 5),
+        (b"a b\rlonely\n", 2),
+        ("a b\né\n".encode(), 2),
+    ])
+    def test_one_token_line_error(self, tmp_path, raw, line_no):
+        path = self.write(tmp_path, raw)
+        with pytest.raises(ParseError) as fast:
+            parse_edge_list(path)
+        with pytest.raises(ParseError) as slow:
+            read_lines(path)
+        assert fast.value.line_no == slow.value.line_no == line_no
+        assert str(fast.value) == str(slow.value)
+
+    def test_self_loop_error_when_not_dropping(self, tmp_path):
+        path = self.write(tmp_path, b"a b\n% c\nb b 7\n")
+        with pytest.raises(ParseError, match="line 3: self-loop 'b'"):
+            parse_edge_list(path, drop_self_loops=False)
+        clean = self.write(tmp_path, b"a b\nb c\n")
+        assert_same_graph(parse_edge_list(clean, drop_self_loops=False),
+                          read_lines(clean))
+
+    def test_custom_comment_prefixes(self, tmp_path):
+        path = self.write(tmp_path, b"// head\n%a b\nb c\n")
+        g = parse_edge_list(path, comment_prefixes=("//",))
+        assert g.labels == ("%a", "b", "c")
+        assert_same_graph(g, read_lines(path, comment_prefixes=("//",)))
+
+    def test_invalid_utf8_names_its_line(self, tmp_path):
+        path = self.write(tmp_path, b"a b\r\nc d\re f\n\xff g\n")
+        with pytest.raises(ParseError, match="line 4: invalid UTF-8 byte 0xff"):
+            parse_edge_list(path)
+
+    def test_hash_collision_takes_the_line_reader(self, tmp_path, monkeypatch):
+        lines = [f"n{i} n{(i * 7) % 50} {i}\n" for i in range(50)]
+        path = self.write(tmp_path, "".join(lines).encode())
+        expected = read_lines(path)
+        monkeypatch.setattr(graph_module, "_hash_words",
+                            lambda columns: np.zeros(columns[0].size, np.uint64))
+        assert graph_module._parse_ascii_file(path, drop_self_loops=True) is None
+        assert_same_graph(parse_edge_list(path), expected)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_named_pipe_is_read_once(self, tmp_path):
+        fifo = tmp_path / "edges.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes,
+                                  args=("é b\nb c\n".encode(),), daemon=True)
+        result = []
+        reader = threading.Thread(target=lambda: result.append(
+            parse_edge_list(fifo)), daemon=True)
+        writer.start()
+        reader.start()
+        reader.join(timeout=10)
+        writer.join(timeout=10)
+        assert not reader.is_alive() and not writer.is_alive()
+        assert result[0].labels == ("é", "b", "c")
+
+    def test_empty_and_comment_only_files(self, tmp_path):
+        for raw in (b"", b"% only\n# comments\n\n"):
+            path = self.write(tmp_path, raw)
+            g = parse_edge_list(path)
+            assert (g.node_count, g.edge_count) == (0, 0)
+            assert_same_graph(g, read_lines(path))
