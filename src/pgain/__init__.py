@@ -19,6 +19,7 @@ from pgain.errors import (
     ParameterError,
     ParseError,
     PgainError,
+    SeriesOverflowError,
     UndefinedCorrelationError,
 )
 from pgain.gain import (
@@ -29,7 +30,12 @@ from pgain.gain import (
     geometric_potential_gain,
 )
 from pgain.graph import Graph, degree_vector, parse_edge_list
-from pgain.spectral import SpectralEstimate, eigenvector_centrality, power_iteration
+from pgain.spectral import (
+    SpectralEstimate,
+    eigenvector_centrality,
+    power_iteration,
+    power_iteration_rules,
+)
 from pgain.vectors import CentralityVector, ConvergenceTrace
 
 __version__ = "0.1.0"
@@ -44,6 +50,7 @@ __all__ = [
     "ParameterError",
     "ParseError",
     "PgainError",
+    "SeriesOverflowError",
     "SpectralEstimate",
     "SweepResult",
     "UndefinedCorrelationError",
@@ -62,5 +69,6 @@ __all__ = [
     "pagerank",
     "parse_edge_list",
     "power_iteration",
+    "power_iteration_rules",
     "spearman_rho",
 ]

@@ -15,9 +15,10 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from pgain import baselines, spectral
-from pgain.errors import ParameterError, PgainError, UndefinedCorrelationError
+from pgain.errors import ParameterError, UndefinedCorrelationError
 from pgain.gain import (
     GainParams,
+    _converged,
     _run_series,
     exponential_potential_gain,
     gain_with_trace,
@@ -195,12 +196,10 @@ def delta_sweep(
     )
     converged = spectrum.converged and pr.converged and epg.converged
     rho = {c: np.full(grid.size, np.nan) for c in SWEEP_COLUMNS}
-    for row, (star, delta, (gpg, _, gpg_converged)) in enumerate(
+    for row, (star, delta, (gpg, terms, reason)) in enumerate(
         zip(grid, deltas, series)
     ):
-        if not np.all(np.isfinite(gpg)):
-            raise PgainError(f"gpg at delta_star={star:g}: non-finite scores")
-        converged &= gpg_converged
+        converged &= _converged("geometric", terms, reason)
         gpg_ranks = average_ranks(gpg)
         ranks = dict(fixed_ranks, katz=average_ranks(1.0 + delta * gpg))
         for column in SWEEP_COLUMNS:

@@ -7,13 +7,20 @@ default (17-significant-digit floats, so identical runs are byte-identical);
 ``--format json`` switches to JSON. Summaries go to stderr.
 
 Exit codes: 0 all requested computations converged, 1 I/O error,
-2 bad parameters or input, 3 a computation failed to converge.
+2 bad parameters or input, 3 a computation failed to converge (stopped at
+an iteration cap, or a series overflowed float64).
+
+``compute`` runs one power-iteration pass, for lambda1 and the ``ec``
+column together, and only when ``ec``, ``katz`` or ``gpg`` is wanted
+(otherwise the summary prints ``lambda1=nan``). Katz is 1 + delta * GPG
+from the one GPG series.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -21,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from pgain import analysis, baselines, generate
-from pgain.errors import PgainError
+from pgain.errors import PgainError, SeriesOverflowError
 from pgain.gain import (
     GainParams,
     exponential_potential_gain,
@@ -29,10 +36,16 @@ from pgain.gain import (
     geometric_potential_gain,
 )
 from pgain.graph import Graph, parse_edge_list
-from pgain.spectral import eigenvector_centrality, power_iteration
+from pgain.spectral import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    power_iteration,
+    power_iteration_rules,
+)
 from pgain.vectors import CentralityVector
 
 METRICS = ("deg", "ec", "pr", "katz", "gpg", "epg")
+CSV_CHUNK_ROWS = 8192  # rows per write, so no CSV is held whole in memory
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -45,6 +58,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except SeriesOverflowError as exc:  # the sum exists but float64 cannot hold it
+        print(f"pgain: error: {exc}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
     except PgainError as exc:
         print(f"pgain: error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
@@ -140,19 +156,37 @@ def _cmd_compute(args) -> int:
     if graph.node_count == 0:
         print("pgain: error: empty graph", file=sys.stderr)
         return EXIT_PARAMS
-    estimate = power_iteration(graph)
-    lam = estimate.lambda1
     wanted = METRICS if args.metric == "all" else (args.metric,)
+    max_iter = args.max_k if args.max_k is not None else 10_000
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     all_converged = True
-    if not estimate.converged and {"katz", "gpg"} & set(wanted):
+    # One power-iteration pass gives lambda1 and the EC column; it runs only
+    # when a wanted metric needs one of them.
+    uses_lambda1 = bool({"katz", "gpg"} & set(wanted))
+    estimates = []
+    if uses_lambda1 or "ec" in wanted:
+        rules = [(DEFAULT_TOL, DEFAULT_MAX_ITER)]
+        if "ec" in wanted:
+            rules.append((args.tol, max_iter))
+        estimates = power_iteration_rules(graph, rules)
+    lam = estimates[0].lambda1 if estimates else math.nan
+    if uses_lambda1 and not estimates[0].converged:
         print("pgain: warning: the lambda1 power iteration stopped at its"
               " iteration cap before converging", file=sys.stderr)
         all_converged = False
+    gpg = None
     for metric in wanted:
         start = time.perf_counter()
-        vector = _compute_metric(graph, metric, args, lam)
+        if metric in ("katz", "gpg"):
+            if gpg is None:  # one series at delta gives both
+                gpg = geometric_potential_gain(graph, _gain_params(args),
+                                               lambda1=lam)
+            vector = gpg if metric == "gpg" else _katz_from_gpg(gpg, args.tol)
+        elif metric == "ec":
+            vector = estimates[1].centrality(args.tol)
+        else:
+            vector = _compute_metric(graph, metric, args, max_iter)
         wall = time.perf_counter() - start
         _summary(graph, lam, vector, wall)
         all_converged &= vector.converged
@@ -161,40 +195,48 @@ def _cmd_compute(args) -> int:
     return EXIT_OK if all_converged else EXIT_NOT_CONVERGED
 
 
-def _compute_metric(graph, metric, args, lam) -> CentralityVector:
-    max_iter = args.max_k if args.max_k is not None else 10_000
+def _compute_metric(graph, metric, args, max_iter) -> CentralityVector:
     if metric == "deg":
         return baselines.degree_centrality(graph)
-    if metric == "ec":
-        return eigenvector_centrality(graph, tol=args.tol, max_iter=max_iter)
     if metric == "pr":
         return baselines.pagerank(graph, alpha=args.alpha, tolerance=args.tol,
                                   max_iter=max_iter)
-    if metric == "katz":
-        delta = args.delta
-        if delta is None:
-            star = args.delta_star if args.delta_star is not None else 0.5
-            delta = star / lam
-        return baselines.katz_centrality(graph, delta=delta, tolerance=args.tol,
-                                         max_iter=max_iter, lambda1=lam)
-    params = GainParams(delta=args.delta, delta_star=args.delta_star,
-                        max_walk_length=args.max_k, tolerance=args.tol)
-    if metric == "gpg":
-        return geometric_potential_gain(graph, params, lambda1=lam)
     if metric == "epg":
-        return exponential_potential_gain(graph, params)
+        return exponential_potential_gain(graph, _gain_params(args))
     raise PgainError(f"unknown metric {metric!r}")
+
+
+def _gain_params(args) -> GainParams:
+    return GainParams(delta=args.delta, delta_star=args.delta_star,
+                      max_walk_length=args.max_k, tolerance=args.tol)
+
+
+def _katz_from_gpg(gpg: CentralityVector, tol: float) -> CentralityVector:
+    """Katz = 1 + delta * GPG. It counts as converged only when the
+    tolerance rule stopped the series, not when ``--max-k`` cut it off."""
+    delta = gpg.params["delta"]
+    return CentralityVector(
+        scores=1.0 + delta * gpg.scores,
+        metric="katz",
+        params={"delta": delta, "tolerance": tol},
+        iterations_used=gpg.iterations_used,
+        converged=gpg.stop_reason == "tolerance",
+        stop_reason=gpg.stop_reason,
+    )
 
 
 def _write_scores(path: Path, graph: Graph, vector: CentralityVector,
                   fmt: str) -> None:
     if fmt == "csv":
-        lines = ["node,score"]
-        lines += [
-            f"{label},{score:.17g}"
-            for label, score in zip(graph.labels, vector.scores)
-        ]
-        path.write_text("\n".join(lines) + "\n")
+        labels, scores = graph.labels, vector.scores
+        with open(path, "w") as handle:
+            handle.write("node,score\n")
+            for i in range(0, len(labels), CSV_CHUNK_ROWS):
+                j = i + CSV_CHUNK_ROWS
+                handle.write("".join(
+                    f"{label},{score:.17g}\n"
+                    for label, score in zip(labels[i:j], scores[i:j].tolist())
+                ))
     else:
         payload = {
             "metric": vector.metric,

@@ -18,3 +18,7 @@ class ParameterError(PgainError, ValueError):
 
 class UndefinedCorrelationError(PgainError, ValueError):
     """Rank correlation is undefined (zero rank variance)."""
+
+
+class SeriesOverflowError(PgainError):
+    """A walk series overflowed float64: its sum is not representable."""

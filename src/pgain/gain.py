@@ -10,13 +10,15 @@ matrix-vector product per term:
 
 The series stops at ``max_walk_length`` terms or once the latest term's
 relative L2 contribution drops below ``tolerance``, whichever comes first.
+Norms are rescaled when their squares overflow, and a series whose sum
+overflows float64 raises ``SeriesOverflowError`` instead of running on.
 
 One loop, ``_run_series``, evaluates both series for every caller. The
 geometric terms A^k 1 do not depend on delta, so the same pass can carry
 several decays at once (the delta_star sweep): the terms are computed for
 the largest delta and rescaled into one accumulator per decay, each with
 its own stop rule. GPG is also (Katz - 1) / delta, with Katz = (I - delta
-A)^(-1) 1.
+A)^(-1) 1, so one series at delta also gives Katz as 1 + delta * GPG.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from pgain import oracle, spectral
-from pgain.errors import ParameterError
+from pgain.errors import ParameterError, SeriesOverflowError
 from pgain.graph import Graph
 from pgain.vectors import CentralityVector, ConvergenceTrace
 
@@ -109,7 +111,7 @@ def geometric_potential_gain(
     params = params or GainParams()
     lam = _lambda1(g, lambda1)
     delta = params.resolve_delta(lam)
-    [(scores, iterations, converged)] = _run_series(
+    [(scores, iterations, reason)] = _run_series(
         g, "geometric", (delta,), params
     )
     return CentralityVector(
@@ -117,7 +119,8 @@ def geometric_potential_gain(
         metric="gpg",
         params=params.snapshot(delta=delta, delta_star=delta * lam, lambda1=lam),
         iterations_used=iterations,
-        converged=converged,
+        converged=_converged("geometric", iterations, reason),
+        stop_reason=reason,
     )
 
 
@@ -126,7 +129,7 @@ def exponential_potential_gain(
 ) -> CentralityVector:
     """Exponential potential gain of every node (parameter-free decay)."""
     params = params or GainParams()
-    [(scores, iterations, converged)] = _run_series(
+    [(scores, iterations, reason)] = _run_series(
         g, "exponential", (0.0,), params
     )
     return CentralityVector(
@@ -134,7 +137,8 @@ def exponential_potential_gain(
         metric="epg",
         params=params.snapshot(delta=None, delta_star=None),
         iterations_used=iterations,
-        converged=converged,
+        converged=_converged("exponential", iterations, reason),
+        stop_reason=reason,
     )
 
 
@@ -180,9 +184,12 @@ def gain_with_trace(
         ref_kind = "dense-oracle"
     else:
         long_params = replace(params, max_walk_length=None, tolerance=1e-15)
-        [(reference, _, _)] = _run_series(g, kind, (delta,), long_params)
+        [(reference, terms, reason)] = _run_series(
+            g, kind, (delta,), long_params
+        )
+        _converged(kind, terms, reason)  # raises when the series overflows
         ref_kind = "long-run"
-    ref_norm = float(np.linalg.norm(reference))
+    ref_norm = _norm(reference)
 
     errors: list[tuple[int, float]] = []
 
@@ -190,9 +197,9 @@ def gain_with_trace(
         if ref_norm == 0.0:
             errors.append((k, 0.0))
         else:
-            errors.append((k, float(np.linalg.norm(reference - acc) / ref_norm)))
+            errors.append((k, _norm(reference - acc) / ref_norm))
 
-    [(scores, iterations, converged)] = _run_series(
+    [(scores, iterations, reason)] = _run_series(
         g, kind, (delta,), params, record
     )
     snapshot = params.snapshot(delta=None, delta_star=None)
@@ -203,7 +210,8 @@ def gain_with_trace(
         metric="gpg" if kind == "geometric" else "epg",
         params=snapshot,
         iterations_used=iterations,
-        converged=converged,
+        converged=_converged(kind, iterations, reason),
+        stop_reason=reason,
     )
     trace = ConvergenceTrace(
         metric=vector.metric,
@@ -217,22 +225,26 @@ def gain_with_trace(
 def _run_series(g, kind, deltas, params, per_term=None):
     """The one truncated-series loop, shared by every gain computation.
 
-    Returns one ``(scores, terms_used, converged)`` per entry of ``deltas``.
-    The walk terms A^k 1 do not depend on the decay, so one pass serves
-    several geometric decays: it computes the terms scaled by the largest
-    decay and adds (delta_j / delta_max)^(k-1) times each term into
-    accumulator j. Each accumulator stops on its own relative term norm
-    and is then frozen; the pass ends when every one has stopped. With a
-    single decay the arithmetic is exactly the single-series recurrence.
-    The exponential kind takes ``deltas=(0.0,)``. ``per_term(k, acc)``
-    sees the first accumulator after every term.
+    Returns one ``(scores, terms_used, stop_reason)`` per entry of
+    ``deltas``; the reason is ``"tolerance"``, ``"max_k"`` (the caller's
+    walk-length cap), ``"safety_cap"`` (``SAFETY_MAX_TERMS``) or
+    ``"nonfinite"``. The walk terms A^k 1 do not depend on the decay, so
+    one pass serves several geometric decays: it computes the terms scaled
+    by the largest decay and adds (delta_j / delta_max)^(k-1) times each
+    term into accumulator j. Each accumulator stops on its own relative
+    term norm and is then frozen; the pass ends when every one has
+    stopped. An accumulator that is no longer finite (the series overflows
+    float64) stops at once with reason ``"nonfinite"``. With a single decay
+    the arithmetic is exactly the single-series recurrence. The
+    exponential kind takes ``deltas=(0.0,)``. ``per_term(k, acc)`` sees
+    the first accumulator after every term.
     """
     n = g.node_count
     if n == 0 or g.edge_count == 0:
         zeros = np.zeros(n)
         if per_term is not None and (params.max_walk_length or 1) >= 1:
             per_term(1, zeros)
-        return [(zeros.copy(), 1, True) for _ in deltas]
+        return [(zeros.copy(), 1, "tolerance") for _ in deltas]
 
     top = max(deltas)
     ratios = [d / top if kind == "geometric" else 1.0 for d in deltas]
@@ -245,36 +257,61 @@ def _run_series(g, kind, deltas, params, per_term=None):
         per_term(k, accs[0])
 
     limit = params.max_walk_length or SAFETY_MAX_TERMS
-    truncated_ok = params.max_walk_length is not None
-    stopped = [None] * len(deltas)  # (terms_used, converged) once frozen
+    stopped = [None] * len(deltas)  # (terms_used, reason) once frozen
     active = list(range(len(deltas)))
-    while active and k < limit:
-        scale = top if kind == "geometric" else 1.0 / k
-        g.spmv(term, scale=scale, out=spare)
-        term, spare = spare, term
-        k += 1
-        term_norm = float(np.linalg.norm(term))
-        max_term_norm = max(max_term_norm, term_norm)
-        for j in active:
-            coef = ratios[j] ** (k - 1)  # 1.0 exactly for the largest decay
-            accs[j] += term if coef == 1.0 else coef * term
-            if params.tolerance is not None and coef * term_norm < (
-                params.tolerance * float(np.linalg.norm(accs[j]))
-            ):
-                stopped[j] = (k, True)
-        if per_term is not None:
-            per_term(k, accs[0])
-        active = [j for j in active if stopped[j] is None]
+    # an overflow is caught by the accumulator's norm, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        while active and k < limit:
+            scale = top if kind == "geometric" else 1.0 / k
+            g.spmv(term, scale=scale, out=spare)
+            term, spare = spare, term
+            term_norm = _norm(term)
+            k += 1
+            max_term_norm = max(max_term_norm, term_norm)
+            for j in active:
+                coef = ratios[j] ** (k - 1)  # 1.0 exactly for the largest decay
+                accs[j] += term if coef == 1.0 else coef * term
+                acc_norm = _norm(accs[j])
+                if not math.isfinite(acc_norm):
+                    stopped[j] = (k, "nonfinite")
+                elif params.tolerance is not None and coef * term_norm < (
+                    params.tolerance * acc_norm
+                ):
+                    stopped[j] = (k, "tolerance")
+            if per_term is not None:
+                per_term(k, accs[0])
+            active = [j for j in active if stopped[j] is None]
+    cap = "max_k" if params.max_walk_length is not None else "safety_cap"
     for j in active:
-        # the walk-length cap binds: converged only when the caller set it
-        stopped[j] = (k, truncated_ok)
-    if max_term_norm > TERM_NORM_WARN:
+        stopped[j] = (k, cap)
+    overflowed = any(reason == "nonfinite" for _, reason in stopped)
+    if max_term_norm > TERM_NORM_WARN and not overflowed:  # callers raise then
         warnings.warn(
             f"{kind} gain: intermediate term norm reached {max_term_norm:.3g}; "
             "scores may lose precision",
             RuntimeWarning,
         )
     return [(acc, *stop) for acc, stop in zip(accs, stopped)]
+
+
+def _converged(kind: str, terms: int, reason: str) -> bool:
+    """``converged`` for a series stop reason: the tolerance rule fired or
+    the caller's walk-length cap bound. A non-finite stop raises."""
+    if reason == "nonfinite":
+        raise SeriesOverflowError(
+            f"{kind} gain: the series overflows float64 after {terms} terms"
+        )
+    return reason in ("tolerance", "max_k")
+
+
+def _norm(x: np.ndarray) -> float:
+    """L2 norm that does not overflow while the entries are finite."""
+    norm = float(np.linalg.norm(x))
+    if norm == math.inf:  # the squares overflowed; rescale by the largest entry
+        scale = float(np.abs(x).max())
+        if scale < math.inf:
+            norm = scale * float(np.linalg.norm(x / scale))
+    return norm
 
 
 def _lambda1(g: Graph, lambda1: float | None) -> float:

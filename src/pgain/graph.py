@@ -32,6 +32,7 @@ from pgain import backend
 from pgain.errors import ParameterError, ParseError
 
 COMMENT_PREFIXES = ("%", "#")
+VALIDATE_BLOCK = 1 << 16  # stored neighbours checked per block in Graph()
 
 
 @dataclass(frozen=True)
@@ -57,17 +58,21 @@ class Graph:
             raise ParameterError("label count does not match indptr")
         if self.indptr[0] != 0 or self.indptr[-1] != self.indices.size:
             raise ParameterError("indptr does not span indices")
+        if np.any(self.indptr[1:] < self.indptr[:-1]):
+            raise ParameterError("indptr must be non-decreasing")
         if self.indices.size:
             if self.indices.min() < 0 or self.indices.max() >= n:
                 raise ParameterError("neighbor index out of range")
-            rows = np.repeat(np.arange(n), np.diff(self.indptr))
-            if np.any(self.indices == rows):
-                raise ParameterError("self-loop present in adjacency")
-            inrow = np.ones(self.indices.size, dtype=bool)
-            starts = self.indptr[1:-1]
-            inrow[starts[starts < self.indices.size]] = False
-            if np.any((np.diff(self.indices) <= 0) & inrow[1:]):
-                raise ParameterError("neighbor lists must be strictly ascending")
+            # The row checks run on blocks of about VALIDATE_BLOCK entries,
+            # so their temporaries do not grow with the graph.
+            firsts = np.searchsorted(
+                self.indptr,
+                np.arange(0, self.indices.size, VALIDATE_BLOCK),
+                side="right",
+            ) - 1
+            cuts = np.append(firsts, n).tolist()
+            for r0, r1 in zip(cuts[:-1], cuts[1:]):
+                _check_rows(self.indptr[r0:r1 + 1], self.indices, r0)
 
     # -- construction ------------------------------------------------------
 
@@ -213,6 +218,21 @@ class Graph:
             if not other.has_edge(theirs[labels[i]], theirs[labels[j]]):
                 return False
         return True
+
+
+def _check_rows(indptr: np.ndarray, indices: np.ndarray, first: int) -> None:
+    """No self-loop and strictly ascending neighbours in the rows that
+    start at ``first`` and whose pointers are ``indptr``."""
+    start = indptr[0]
+    row = indices[start:indptr[-1]]
+    owner = np.repeat(np.arange(first, first + indptr.size - 1), np.diff(indptr))
+    if np.any(row == owner):
+        raise ParameterError("self-loop present in adjacency")
+    inrow = np.ones(row.size, dtype=bool)
+    starts = indptr[1:-1] - start
+    inrow[starts[starts < row.size]] = False
+    if np.any((np.diff(row) <= 0) & inrow[1:]):
+        raise ParameterError("neighbor lists must be strictly ascending")
 
 
 def _intern(index: dict, token: str) -> int:

@@ -11,13 +11,18 @@ from pgain.errors import PgainError
 
 @dataclass(frozen=True)
 class CentralityVector:
-    """Per-node scores plus the parameters that produced them."""
+    """Per-node scores plus the parameters that produced them.
+
+    ``stop_reason`` says why a gain series stopped (``tolerance``,
+    ``max_k`` or ``safety_cap``); it is None for the other computations.
+    """
 
     scores: np.ndarray
     metric: str
     params: dict = field(default_factory=dict)
     iterations_used: int = 0
     converged: bool = True
+    stop_reason: str | None = None
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.scores)):

@@ -1,9 +1,25 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from pgain import (
+    GainParams,
+    Graph,
+    exponential_potential_gain,
+    geometric_potential_gain,
+    katz_centrality,
+    pagerank,
+    parse_edge_list,
+    power_iteration,
+)
+from pgain import cli
 from pgain.cli import main
+from pgain.generate import barabasi_albert_edges, complete_edges, edges_to_text
+from pgain.vectors import CentralityVector
+
+from conftest import rel_err
 
 
 @pytest.fixture
@@ -26,6 +42,30 @@ def star_tail_file(tmp_path):
     path = tmp_path / "star_tail.txt"
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+@pytest.fixture
+def ba_file(tmp_path):
+    path = tmp_path / "ba.txt"
+    path.write_text(edges_to_text(barabasi_albert_edges(300, 3, seed=4)))
+    return path
+
+
+@pytest.fixture
+def p500_file(tmp_path):
+    # the path P_500 has a tiny spectral gap: power iteration hits its cap
+    path = tmp_path / "p500.txt"
+    path.write_text("".join(f"{i} {i + 1}\n" for i in range(499)))
+    return path
+
+
+def count_spmv(monkeypatch):
+    calls = []
+    spmv = Graph.spmv
+    monkeypatch.setattr(
+        Graph, "spmv", lambda self, *a, **k: calls.append(1) or spmv(self, *a, **k)
+    )
+    return calls
 
 
 def read_scores(path):
@@ -137,6 +177,100 @@ class TestCompute:
         err = capsys.readouterr().err
         assert err.startswith("pgain: error: line 3: invalid UTF-8 byte 0xff")
         assert "Traceback" not in err
+
+
+class TestComputeSharedWork:
+    """``compute`` runs one power-iteration pass and one GPG series."""
+
+    def test_metric_all_spmv_count(self, ba_file, tmp_path, monkeypatch):
+        g = parse_edge_list(ba_file)
+        expected = (
+            max(power_iteration(g).iterations,
+                power_iteration(g, tol=1e-12).iterations)
+            + pagerank(g).iterations_used
+            + geometric_potential_gain(g).iterations_used
+            + exponential_potential_gain(g).iterations_used
+        )
+        calls = count_spmv(monkeypatch)
+        assert main(["compute", "--metric", "all", "--out", str(tmp_path),
+                     str(ba_file)]) == 0
+        assert len(calls) == expected
+
+    def test_gpg_alone_skips_the_ec_rule(self, ba_file, tmp_path, monkeypatch):
+        # a tight --tol would lengthen an EC rule, not the lambda1 rule
+        g = parse_edge_list(ba_file)
+        expected = (power_iteration(g).iterations + geometric_potential_gain(
+            g, GainParams(tolerance=1e-14)).iterations_used)
+        calls = count_spmv(monkeypatch)
+        assert main(["compute", "--metric", "gpg", "--tol", "1e-14",
+                     "--out", str(tmp_path), str(ba_file)]) == 0
+        assert len(calls) == expected
+
+    def test_deg_needs_no_spectrum(self, p500_file, tmp_path, monkeypatch,
+                                   capsys):
+        calls = count_spmv(monkeypatch)
+        assert main(["compute", "--metric", "deg", "--out", str(tmp_path),
+                     str(p500_file)]) == 0
+        assert calls == []
+        assert " lambda1=nan " in capsys.readouterr().err
+
+    def test_ec_alone_is_one_pass(self, ba_file, tmp_path, monkeypatch):
+        g = parse_edge_list(ba_file)
+        lam_rule = power_iteration(g)
+        ec_rule = power_iteration(g, tol=1e-6)
+        calls = count_spmv(monkeypatch)
+        assert main(["compute", "--metric", "ec", "--tol", "1e-6",
+                     "--out", str(tmp_path), str(ba_file)]) == 0
+        assert len(calls) == max(lam_rule.iterations, ec_rule.iterations)
+        scores = read_scores(tmp_path / "ec.csv")
+        assert np.array_equal([scores[label] for label in g.labels],
+                              ec_rule.eigenvector)
+
+    def test_katz_matches_katz_centrality(self, ba_file, tmp_path):
+        assert main(["compute", "--metric", "katz", "--out", str(tmp_path),
+                     str(ba_file)]) == 0
+        g = parse_edge_list(ba_file)
+        lam = power_iteration(g).lambda1
+        loop = katz_centrality(g, delta=0.5 / lam, lambda1=lam)
+        scores = read_scores(tmp_path / "katz.csv")
+        assert rel_err([scores[label] for label in g.labels], loop.scores) <= 1e-12
+
+    def test_katz_truncated_by_max_k_exits_3(self, k3_file, tmp_path, capsys):
+        assert main(["compute", "--metric", "katz", "--max-k", "2",
+                     "--out", str(tmp_path), str(k3_file)]) == 3
+        assert "metric=katz n=3 m=3 lambda1=2 iterations=2" in capsys.readouterr().err
+        # GPG keeps counting a --max-k cut as converged
+        assert main(["compute", "--metric", "gpg", "--max-k", "2",
+                     "--out", str(tmp_path), str(k3_file)]) == 0
+
+    def test_katz_on_edgeless_graph(self, tmp_path):
+        loops = tmp_path / "loops.txt"
+        loops.write_text("1 1\n2 2\n")
+        assert main(["compute", "--metric", "katz", "--out", str(tmp_path),
+                     str(loops)]) == 0
+        assert read_scores(tmp_path / "katz.csv") == {"1": 1.0, "2": 1.0}
+
+    def test_overflowing_series_exits_3(self, tmp_path, capsys):
+        k760 = tmp_path / "k760.txt"
+        k760.write_text(edges_to_text(complete_edges(760)))
+        assert main(["compute", "--metric", "epg", "--out", str(tmp_path),
+                     str(k760)]) == 3
+        err = capsys.readouterr().err
+        assert "pgain: error: exponential gain: the series overflows" in err
+
+    @pytest.mark.parametrize("n,chunk", [(5, 8192), (23, 7), (21, 7), (0, 7)])
+    def test_csv_writer_bytes(self, tmp_path, monkeypatch, n, chunk):
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
+        rng = np.random.default_rng(n)
+        scores = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        labels = tuple(f"node{i}" for i in range(n))
+        g = Graph(indptr=np.zeros(n + 1, dtype=np.int64),
+                  indices=np.zeros(0, dtype=np.int64), labels=labels)
+        path = tmp_path / "out.csv"
+        cli._write_scores(path, g, CentralityVector(scores, "x"), "csv")
+        lines = ["node,score"]
+        lines += [f"{label},{score:.17g}" for label, score in zip(labels, scores)]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 class TestSweep:

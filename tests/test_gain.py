@@ -7,6 +7,8 @@ from pgain import (
     GainParams,
     Graph,
     ParameterError,
+    PgainError,
+    SeriesOverflowError,
     communicability_vector,
     crossover_delta,
     exponential_potential_gain,
@@ -17,7 +19,9 @@ from pgain import (
     spearman_rho,
 )
 from pgain import oracle
-from pgain.gain import _run_series
+from pgain import gain
+from pgain.gain import _norm, _run_series
+from pgain.generate import complete_edges
 
 from conftest import ba_graph, er_graph, rel_err
 
@@ -265,11 +269,11 @@ class TestSeriesEngine:
         stars = [0.01, 0.5, 0.99]
         params = GainParams(tolerance=1e-12)
         series = _run_series(g, "geometric", [s / lam for s in stars], params)
-        for star, (scores, terms, converged) in zip(stars, series):
+        for star, (scores, terms, reason) in zip(stars, series):
             alone = geometric_potential_gain(
                 g, GainParams(delta_star=star, tolerance=1e-12), lambda1=lam
             )
-            assert converged
+            assert reason == "tolerance"
             assert rel_err(scores, alone.scores) <= 1e-12
             # each accumulator freezes on its own stop rule
             assert abs(terms - alone.iterations_used) <= 1
@@ -288,3 +292,75 @@ class TestSeriesEngine:
         v = geometric_potential_gain(g, GainParams(delta=delta, tolerance=tol))
         assert np.array_equal(v.scores, acc)
         assert v.iterations_used == k
+
+
+class TestStopReasons:
+    def test_tolerance(self, k3):
+        v = geometric_potential_gain(k3, GainParams(delta=0.25, tolerance=1e-6))
+        assert (v.stop_reason, v.converged) == ("tolerance", True)
+
+    def test_max_k_counts_as_converged(self, k3):
+        v = geometric_potential_gain(
+            k3, GainParams(delta=0.25, max_walk_length=3, tolerance=1e-12)
+        )
+        assert (v.stop_reason, v.converged, v.iterations_used) == ("max_k", True, 3)
+
+    def test_safety_cap_is_not_converged(self, k3, monkeypatch):
+        monkeypatch.setattr(gain, "SAFETY_MAX_TERMS", 4)
+        v = exponential_potential_gain(k3, GainParams(tolerance=1e-12))
+        assert (v.stop_reason, v.converged, v.iterations_used) == (
+            "safety_cap", False, 4)
+
+    def test_edgeless_series_is_exact(self):
+        g = Graph.from_edges([(0, 0), (1, 1)])
+        [(scores, terms, reason)] = _run_series(
+            g, "geometric", (0.5,), GainParams(max_walk_length=2)
+        )
+        assert reason == "tolerance" and not scores.any()
+
+
+class TestOverflow:
+    def test_norm_rescales_when_the_squares_overflow(self):
+        x = np.array([3e200, -4e200])
+        with np.errstate(over="ignore"):
+            assert _norm(x) == pytest.approx(5e200, rel=1e-15)
+        assert _norm(np.array([1.0, 2.0])) == np.linalg.norm([1.0, 2.0])
+        assert _norm(np.array([np.inf, 1.0])) == np.inf
+        assert np.isnan(_norm(np.array([np.nan, 1.0])))
+
+    def test_k400_epg_matches_closed_form(self):
+        # lambda1 = 399: the accumulator's squared norm overflows, the
+        # entries do not; EPG = 399 e^399 on every node
+        g = Graph.from_edges(complete_edges(400))
+        v = exponential_potential_gain(g)
+        assert v.converged and v.stop_reason == "tolerance"
+        exact = 399 * math.exp(399)
+        np.testing.assert_allclose(v.scores, np.full(400, exact), rtol=1e-9)
+
+    @pytest.fixture(scope="class")
+    def k760(self):
+        # EPG = 759 e^759 exceeds float64
+        return Graph.from_edges(complete_edges(760))
+
+    def test_k760_epg_fails_fast(self, k760, monkeypatch):
+        # the series stops at the first non-finite term instead of running
+        # toward SAFETY_MAX_TERMS
+        calls = []
+        spmv = Graph.spmv
+        monkeypatch.setattr(
+            Graph, "spmv", lambda self, *a, **k: calls.append(1) or spmv(self, *a, **k)
+        )
+        with pytest.raises(SeriesOverflowError, match="overflows float64"):
+            exponential_potential_gain(k760)
+        assert len(calls) < 1000
+        assert issubclass(SeriesOverflowError, PgainError)
+
+    def test_k760_stop_reason(self, k760):
+        [(_, terms, reason)] = _run_series(
+            k760, "exponential", (0.0,), GainParams(max_walk_length=10_000)
+        )
+        assert reason == "nonfinite" and terms < 1000
+
+    def test_k760_trace_raises(self, k760):
+        with pytest.raises(SeriesOverflowError):
+            gain_with_trace(k760, GainParams(max_walk_length=5), kind="exponential")

@@ -105,6 +105,89 @@ class TestStructure:
             k3.indices[0] = 2
 
 
+# edges 0-1, 0-2, 1-2, 2-3 as CSR rows [1 2] [0 2] [0 1 3] [2]
+VALID_INDPTR = [0, 2, 4, 7, 8]
+VALID_INDICES = [1, 2, 0, 2, 0, 1, 3, 2]
+
+
+def csr_graph(indptr=VALID_INDPTR, indices=VALID_INDICES, n_labels=4):
+    return Graph(
+        indptr=np.array(indptr, dtype=np.int64),
+        indices=np.array(indices, dtype=np.int64),
+        labels=tuple(str(i) for i in range(n_labels)),
+    )
+
+
+class TestConstructorValidation:
+    """Graph() rejects CSR arrays that are not a simple graph, whichever
+    way the rows fall into validation blocks."""
+
+    @pytest.fixture(params=[None, 1, 2, 3], ids=["default", "b1", "b2", "b3"])
+    def block(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(graph_module, "VALIDATE_BLOCK", request.param)
+
+    def test_valid_arrays_accepted(self, block):
+        g = csr_graph()
+        assert g.node_count == 4 and g.edge_count == 4
+
+    def test_empty_rows_accepted(self, block):
+        # isolated nodes first, between and last
+        g = csr_graph([0, 0, 1, 1, 2, 2], [3, 1], n_labels=5)
+        assert g.edge_count == 1
+
+    @pytest.mark.parametrize("indices", [
+        [1, 2, 0, 2, 0, 1, 3, 4],
+        [1, 2, 0, 2, 0, 1, 3, -1],
+    ], ids=["too-large", "negative"])
+    def test_neighbour_out_of_range(self, block, indices):
+        with pytest.raises(ParameterError, match="out of range"):
+            csr_graph(indices=indices)
+
+    @pytest.mark.parametrize("indices", [
+        [0, 2, 0, 2, 0, 1, 3, 2],
+        [1, 2, 0, 2, 0, 2, 3, 2],
+        [1, 2, 0, 2, 0, 1, 3, 3],
+    ], ids=["first-row", "middle-row", "last-row"])
+    def test_self_loop(self, block, indices):
+        with pytest.raises(ParameterError, match="self-loop"):
+            csr_graph(indices=indices)
+
+    @pytest.mark.parametrize("indices", [
+        [2, 1, 0, 2, 0, 1, 3, 2],
+        [1, 2, 0, 2, 1, 0, 3, 2],
+        [1, 2, 0, 2, 0, 3, 1, 2],
+    ], ids=["first-row", "middle-row", "row-end"])
+    def test_unsorted_row(self, block, indices):
+        with pytest.raises(ParameterError, match="ascending"):
+            csr_graph(indices=indices)
+
+    @pytest.mark.parametrize("indices", [
+        [1, 1, 0, 2, 0, 1, 3, 2],
+        [1, 2, 0, 2, 0, 1, 1, 2],
+    ], ids=["first-row", "middle-row"])
+    def test_duplicate_neighbour(self, block, indices):
+        with pytest.raises(ParameterError, match="ascending"):
+            csr_graph(indices=indices)
+
+    @pytest.mark.parametrize("indptr", [
+        [0, 2, 4, 7, 7],
+        [0, 2, 4, 7, 9],
+        [1, 2, 4, 7, 8],
+    ], ids=["short", "long", "offset"])
+    def test_indptr_does_not_span_indices(self, block, indptr):
+        with pytest.raises(ParameterError, match="span"):
+            csr_graph(indptr=indptr)
+
+    def test_decreasing_indptr(self, block):
+        with pytest.raises(ParameterError, match="non-decreasing"):
+            csr_graph(indptr=[0, 2, 1, 7, 8])
+
+    def test_label_count_mismatch(self):
+        with pytest.raises(ParameterError, match="label count"):
+            csr_graph(n_labels=3)
+
+
 def g_has_all_star_edges(s4):
     return all(s4.has_edge(0, leaf) and s4.has_edge(leaf, 0) for leaf in range(1, 5))
 

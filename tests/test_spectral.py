@@ -8,6 +8,7 @@ from pgain import (
     ParameterError,
     eigenvector_centrality,
     power_iteration,
+    power_iteration_rules,
 )
 from pgain import oracle
 from pgain.generate import complete_edges
@@ -103,3 +104,65 @@ class TestInvariants:
             lam = power_iteration(g).lambda1
             deg = g.degrees
             assert deg.mean() - 1e-9 <= lam <= deg.max() + 1e-9
+
+
+class TestPowerIterationRules:
+    """One pass with several stop rules equals one call per rule."""
+
+    RULES = [
+        (1e-10, 10_000),  # the lambda1 estimate
+        (1e-12, 10_000),  # the EC column at the default --tol
+        (1e-6, 10_000),
+        (1e-8, 10_000),  # a --tol looser than 1e-10
+        (1e-12, 3),  # the cap binds first
+    ]
+
+    @pytest.mark.parametrize(
+        "g",
+        [ba_graph(300, 3, seed=11), er_graph(300, 0.02, seed=12),
+         Graph.from_edges([(i, i + 1) for i in range(29)])],
+        ids=["ba", "er", "path30"],
+    )
+    def test_snapshots_equal_separate_runs(self, g):
+        for rules in (self.RULES, self.RULES[::-1], self.RULES[:1]):
+            for (tol, max_iter), est in zip(rules, power_iteration_rules(g, rules)):
+                alone = power_iteration(g, tol=tol, max_iter=max_iter)
+                assert est.lambda1 == alone.lambda1
+                assert np.array_equal(est.eigenvector, alone.eigenvector)
+                assert est.iterations == alone.iterations
+                assert est.converged == alone.converged
+                assert est.residual == alone.residual
+                assert not est.eigenvector.flags.writeable
+
+    def test_one_pass_costs_the_longest_rule(self, monkeypatch):
+        g = ba_graph(300, 3, seed=11)
+        longest = max(power_iteration(g, tol, it).iterations for tol, it in self.RULES)
+        calls = []
+        spmv = Graph.spmv
+        monkeypatch.setattr(
+            Graph, "spmv", lambda self, *a, **k: calls.append(1) or spmv(self, *a, **k)
+        )
+        power_iteration_rules(g, self.RULES)
+        assert len(calls) == longest
+
+    def test_capped_rule_flagged(self):
+        path = Graph.from_edges([(i, i + 1) for i in range(99)])
+        loose, capped = power_iteration_rules(path, [(1e-10, 10_000), (1e-10, 50)])
+        assert loose.converged and not capped.converged
+        assert capped.iterations == 50
+
+    def test_bad_rules(self, k3):
+        with pytest.raises(ParameterError):
+            power_iteration_rules(k3, [(1e-10, 100), (0.0, 100)])
+        with pytest.raises(ParameterError):
+            power_iteration_rules(k3, [(1e-10, 100), (1e-10, 0)])
+        with pytest.raises(ParameterError):
+            power_iteration_rules(Graph.from_edges([]), [(1e-10, 100)])
+
+    def test_centrality_is_the_ec_vector(self, s4):
+        est = power_iteration(s4, tol=1e-12)
+        v = est.centrality(1e-12)
+        ec = eigenvector_centrality(s4, tol=1e-12)
+        assert np.array_equal(v.scores, ec.scores)
+        assert (v.metric, v.params, v.iterations_used, v.converged) == (
+            ec.metric, ec.params, ec.iterations_used, ec.converged)
