@@ -1,13 +1,6 @@
 """Walk-based potential-gain centralities on sparse undirected graphs."""
 
-from pgain.analysis import (
-    CorrelationReport,
-    SweepResult,
-    correlation_matrix,
-    convergence_report,
-    delta_sweep,
-    spearman_rho,
-)
+from pgain.analysis import SweepResult, delta_sweep, spearman_rho
 from pgain.backend import BACKEND
 from pgain.baselines import (
     communicability_vector,
@@ -29,7 +22,7 @@ from pgain.gain import (
     gain_with_trace,
     geometric_potential_gain,
 )
-from pgain.graph import Graph, degree_vector, parse_edge_list
+from pgain.graph import Graph, parse_edge_list
 from pgain.spectral import (
     SpectralEstimate,
     eigenvector_centrality,
@@ -44,7 +37,6 @@ __all__ = [
     "BACKEND",
     "CentralityVector",
     "ConvergenceTrace",
-    "CorrelationReport",
     "GainParams",
     "Graph",
     "ParameterError",
@@ -55,11 +47,8 @@ __all__ = [
     "SweepResult",
     "UndefinedCorrelationError",
     "communicability_vector",
-    "convergence_report",
-    "correlation_matrix",
     "crossover_delta",
     "degree_centrality",
-    "degree_vector",
     "delta_sweep",
     "eigenvector_centrality",
     "exponential_potential_gain",

@@ -1,4 +1,4 @@
-"""Rank-correlation analytics, decay sweeps, convergence and timing reports.
+"""Spearman rank correlation and the decay sweep.
 
 ``delta_sweep`` costs one power iteration (lambda1 and the EC column), one
 PageRank, one EPG and a single multi-decay GPG series pass, whose SpMV
@@ -8,9 +8,8 @@ and each Spearman coefficient is computed from the ranks.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -21,10 +20,8 @@ from pgain.gain import (
     _converged,
     _run_series,
     exponential_potential_gain,
-    gain_with_trace,
 )
 from pgain.graph import Graph
-from pgain.vectors import CentralityVector, ConvergenceTrace
 
 DEFAULT_GRID = tuple(np.linspace(0.1, 0.9, 9))
 SWEEP_COLUMNS = ("deg", "ec", "pr", "katz", "epg")
@@ -82,55 +79,6 @@ def _rho_from_ranks(rx: np.ndarray, ry: np.ndarray) -> float:
     vx = float(dx @ dx)
     vy = float(dy @ dy)
     return float(dx @ dy) / np.sqrt(vx * vy)
-
-
-@dataclass(frozen=True)
-class CorrelationReport:
-    """Pairwise Spearman matrix over named score vectors.
-
-    ``rho`` is symmetric with NaN marking undefined pairs; ``missing`` maps
-    (name_a, name_b) to the reason the pair is undefined.
-    """
-
-    metric_names: tuple[str, ...]
-    rho: np.ndarray
-    missing: dict = field(default_factory=dict)
-    params: dict = field(default_factory=dict)
-
-    def value(self, a: str, b: str) -> float:
-        i = self.metric_names.index(a)
-        j = self.metric_names.index(b)
-        return float(self.rho[i, j])
-
-    def to_csv(self) -> str:
-        lines = ["metric," + ",".join(self.metric_names)]
-        for i, name in enumerate(self.metric_names):
-            cells = [
-                "" if np.isnan(v) else f"{v:.17g}" for v in self.rho[i]
-            ]
-            lines.append(name + "," + ",".join(cells))
-        return "\n".join(lines) + "\n"
-
-
-def correlation_matrix(
-    vectors: Iterable[CentralityVector], params: dict | None = None
-) -> CorrelationReport:
-    """All pairwise Spearman correlations, ordered by metric name."""
-    ordered = sorted(vectors, key=lambda v: v.metric)
-    if len(ordered) < 2:
-        raise ParameterError("need at least two score vectors")
-    names = tuple(v.metric for v in ordered)
-    k = len(ordered)
-    rho = np.full((k, k), np.nan)
-    missing: dict = {}
-    for i in range(k):
-        for j in range(i, k):
-            try:
-                value = spearman_rho(ordered[i].scores, ordered[j].scores)
-                rho[i, j] = rho[j, i] = value
-            except UndefinedCorrelationError as exc:
-                missing[(names[i], names[j])] = str(exc)
-    return CorrelationReport(names, rho, missing, params or {})
 
 
 @dataclass(frozen=True)
@@ -192,14 +140,15 @@ def delta_sweep(
         "epg": average_ranks(epg.scores),
     }
     series = _run_series(
-        g, "geometric", deltas, GainParams(tolerance=tolerance)
+        g, "geometric", g.spmv(np.ones(g.node_count)), deltas,
+        GainParams(tolerance=tolerance),
     )
     converged = spectrum.converged and pr.converged and epg.converged
     rho = {c: np.full(grid.size, np.nan) for c in SWEEP_COLUMNS}
     for row, (star, delta, (gpg, terms, reason)) in enumerate(
         zip(grid, deltas, series)
     ):
-        converged &= _converged("geometric", terms, reason)
+        converged &= _converged("geometric gain", terms, reason)
         gpg_ranks = average_ranks(gpg)
         ranks = dict(fixed_ranks, katz=average_ranks(1.0 + delta * gpg))
         for column in SWEEP_COLUMNS:
@@ -209,47 +158,3 @@ def delta_sweep(
                 if warn is not None:
                     warn(f"delta_star={star:g} rho_{column}: {exc}")
     return SweepResult(grid, rho, alpha, lam, converged)
-
-
-def convergence_report(
-    g: Graph,
-    delta_stars: Sequence[float] = (0.5,),
-    kinds: Sequence[str] = ("geometric", "exponential"),
-    tolerance: float = 1e-12,
-    max_walk_length: int | None = None,
-    lambda1: float | None = None,
-) -> list[ConvergenceTrace]:
-    """Convergence traces for the requested kinds and decay values.
-
-    Exponential traces do not depend on delta_star and are emitted once.
-    """
-    lam = lambda1 if lambda1 is not None else spectral.power_iteration(g).lambda1
-    traces = []
-    for kind in kinds:
-        stars = delta_stars if kind == "geometric" else (None,)
-        for star in stars:
-            params = GainParams(
-                delta_star=star, max_walk_length=max_walk_length,
-                tolerance=tolerance,
-            )
-            _, trace = gain_with_trace(g, params, kind=kind, lambda1=lam)
-            traces.append(trace)
-    return traces
-
-
-@dataclass(frozen=True)
-class TimingRecord:
-    wall_seconds: float
-    iterations: int
-
-    @property
-    def per_iteration_seconds(self) -> float:
-        return self.wall_seconds / max(self.iterations, 1)
-
-
-def timed(fn: Callable[[], CentralityVector]) -> tuple[CentralityVector, TimingRecord]:
-    """Run a centrality computation and record wall clock + per-iteration time."""
-    start = time.perf_counter()
-    result = fn()
-    elapsed = time.perf_counter() - start
-    return result, TimingRecord(elapsed, result.iterations_used)

@@ -1,19 +1,20 @@
 """Comparison centralities: degree, Katz, PageRank, communicability.
 
-Katz and communicability use the same one-SpMV-per-term profile as the gain
-series; PageRank is the usual damped power iteration on the row-normalized
+Katz, (I - delta A)^(-1) 1 = sum over k >= 0 of delta^k A^k 1, and
+communicability, exp(A) 1 = sum over k >= 0 of A^k 1 / k!, are the gain
+series started at the ones vector instead of A 1, so they run on the same
+engine, ``gain._run_series``, with its stop rules and overflow check.
+PageRank is the usual damped power iteration on the row-normalized
 adjacency (transposed product, so undirected graphs reuse the symmetric
 SpMV on a degree-scaled vector).
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from pgain import spectral
 from pgain.errors import ParameterError
+from pgain.gain import GainParams, _converged, _lambda1, _run_series
 from pgain.graph import Graph
 from pgain.vectors import CentralityVector
 
@@ -34,41 +35,18 @@ def katz_centrality(
     max_iter: int = DEFAULT_MAX_ITER,
     lambda1: float | None = None,
 ) -> CentralityVector:
-    """(I - delta A)^(-1) 1 by the fixed-point iteration x <- 1 + delta A x.
+    """(I - delta A)^(-1) 1 as the walk series sum of delta^k A^k 1.
 
     Requires delta in (0, 1/lambda1); lambda1 is estimated when not given.
     Scores are >= 1 everywhere (the series starts at the identity term).
     """
     _check_iteration_args(tolerance, max_iter)
-    if not math.isfinite(delta) or delta <= 0:
-        raise ParameterError(f"delta must be positive, got {delta}")
-    if g.node_count == 0:
-        return CentralityVector(np.zeros(0), "katz", {"delta": delta})
+    params = GainParams(delta=delta, max_walk_length=max_iter + 1,
+                        tolerance=tolerance)
     if g.edge_count > 0:
-        lam = lambda1 if lambda1 is not None else spectral.power_iteration(g).lambda1
-        if lam > 0 and delta >= 1.0 / lam:
-            raise ParameterError(
-                f"delta {delta} >= 1/lambda1 {1.0 / lam}: series may diverge"
-            )
-
-    ones = np.ones(g.node_count)
-    x = ones.copy()
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        x_new = ones + g.spmv(x, scale=delta)
-        change = float(np.linalg.norm(x_new - x))
-        x = x_new
-        if change < tolerance * float(np.linalg.norm(x)):
-            converged = True
-            break
-    return CentralityVector(
-        scores=x,
-        metric="katz",
-        params={"delta": delta, "tolerance": tolerance},
-        iterations_used=iterations,
-        converged=converged,
-    )
+        params.resolve_delta(_lambda1(g, lambda1))  # rejects delta >= 1/lambda1
+    return _walk_series(g, "katz", "geometric", params,
+                        {"delta": delta, "tolerance": tolerance})
 
 
 def pagerank(
@@ -120,27 +98,28 @@ def communicability_vector(
     tolerance: float = DEFAULT_TOLERANCE,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> CentralityVector:
-    """exp(A) 1 via its Taylor series, term recurrence s_k = A s_(k-1) / k."""
+    """exp(A) 1 as the walk series sum of A^k 1 / k!."""
     _check_iteration_args(tolerance, max_iter)
-    n = g.node_count
-    if n == 0:
-        return CentralityVector(np.zeros(0), "communicability", {})
-    term = np.ones(n)  # k = 0 term
-    total = term.copy()
-    converged = False
-    k = 0
-    for k in range(1, max_iter + 1):
-        term = g.spmv(term, scale=1.0 / k)
-        total += term
-        if float(np.linalg.norm(term)) < tolerance * float(np.linalg.norm(total)):
-            converged = True
-            break
+    params = GainParams(max_walk_length=max_iter + 1, tolerance=tolerance)
+    return _walk_series(g, "communicability", "exponential", params,
+                        {"tolerance": tolerance})
+
+
+def _walk_series(g, metric, kind, params, snapshot) -> CentralityVector:
+    """The series engine from the ones vector. A series of k terms costs
+    k - 1 SpMVs, which ``max_iter`` caps and ``iterations_used`` counts;
+    ``converged`` means the tolerance rule stopped it."""
+    [(scores, terms, reason)] = _run_series(
+        g, kind, np.ones(g.node_count), (params.delta or 0.0,), params
+    )
+    _converged(metric, terms, reason)  # raises when the series overflows
     return CentralityVector(
-        scores=total,
-        metric="communicability",
-        params={"tolerance": tolerance},
-        iterations_used=k,
-        converged=converged,
+        scores=scores,
+        metric=metric,
+        params=snapshot,
+        iterations_used=terms - 1,
+        converged=reason == "tolerance",
+        stop_reason=reason,
     )
 
 

@@ -137,10 +137,6 @@ def _add_delta_args(parser) -> None:
                        help="decay normalized by lambda1, in (0, 1)")
 
 
-def _load_graph(path: str) -> Graph:
-    return parse_edge_list(path)
-
-
 def _summary(graph: Graph, lam: float, vector: CentralityVector,
              wall: float) -> None:
     print(
@@ -152,7 +148,7 @@ def _summary(graph: Graph, lam: float, vector: CentralityVector,
 
 
 def _cmd_compute(args) -> int:
-    graph = _load_graph(args.input)
+    graph = parse_edge_list(args.input)
     if graph.node_count == 0:
         print("pgain: error: empty graph", file=sys.stderr)
         return EXIT_PARAMS
@@ -260,7 +256,7 @@ def _cmd_sweep(args) -> int:
             print(f"pgain: error: --grid must be comma-separated numbers,"
                   f" got {args.grid!r}", file=sys.stderr)
             return EXIT_PARAMS
-    graph = _load_graph(args.input)
+    graph = parse_edge_list(args.input)
     warnings: list[str] = []
     result = analysis.delta_sweep(
         graph, grid=grid, alpha=args.alpha, tolerance=args.tol,
@@ -289,11 +285,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    graph = _load_graph(args.input)
+    graph = parse_edge_list(args.input)
     kind = "geometric" if args.metric == "gpg" else "exponential"
-    params = GainParams(delta=args.delta, delta_star=args.delta_star,
-                        max_walk_length=args.max_k, tolerance=args.tol)
-    vector, trace = gain_with_trace(graph, params, kind=kind)
+    vector, trace = gain_with_trace(graph, _gain_params(args), kind=kind)
     if args.format == "csv":
         _emit(args.out, trace.to_csv())
     else:
@@ -338,7 +332,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
-    graph = _load_graph(args.input)
+    graph = parse_edge_list(args.input)
     estimate = power_iteration(graph, tol=args.tol, max_iter=args.max_iter)
     print(
         f"lambda1={estimate.lambda1:.17g} residual={estimate.residual:.6g}"

@@ -13,12 +13,15 @@ relative L2 contribution drops below ``tolerance``, whichever comes first.
 Norms are rescaled when their squares overflow, and a series whose sum
 overflows float64 raises ``SeriesOverflowError`` instead of running on.
 
-One loop, ``_run_series``, evaluates both series for every caller. The
+One loop, ``_run_series``, evaluates every walk series in the package.
+Each is a first term and a term ratio: GPG starts at A 1 with ratio delta,
+EPG at A 1 with ratio 1/(k-1), and the baselines Katz and communicability
+start at 1 with the same two ratios (GPG = A Katz, EPG = A exp(A) 1). The
 geometric terms A^k 1 do not depend on delta, so the same pass can carry
 several decays at once (the delta_star sweep): the terms are computed for
 the largest delta and rescaled into one accumulator per decay, each with
-its own stop rule. GPG is also (Katz - 1) / delta, with Katz = (I - delta
-A)^(-1) 1, so one series at delta also gives Katz as 1 + delta * GPG.
+its own stop rule. GPG is also (Katz - 1) / delta, so one series at delta
+also gives Katz as 1 + delta * GPG.
 """
 
 from __future__ import annotations
@@ -112,14 +115,14 @@ def geometric_potential_gain(
     lam = _lambda1(g, lambda1)
     delta = params.resolve_delta(lam)
     [(scores, iterations, reason)] = _run_series(
-        g, "geometric", (delta,), params
+        g, "geometric", g.spmv(np.ones(g.node_count)), (delta,), params
     )
     return CentralityVector(
         scores=scores,
         metric="gpg",
         params=params.snapshot(delta=delta, delta_star=delta * lam, lambda1=lam),
         iterations_used=iterations,
-        converged=_converged("geometric", iterations, reason),
+        converged=_converged("geometric gain", iterations, reason),
         stop_reason=reason,
     )
 
@@ -130,14 +133,14 @@ def exponential_potential_gain(
     """Exponential potential gain of every node (parameter-free decay)."""
     params = params or GainParams()
     [(scores, iterations, reason)] = _run_series(
-        g, "exponential", (0.0,), params
+        g, "exponential", g.spmv(np.ones(g.node_count)), (0.0,), params
     )
     return CentralityVector(
         scores=scores,
         metric="epg",
         params=params.snapshot(delta=None, delta_star=None),
         iterations_used=iterations,
-        converged=_converged("exponential", iterations, reason),
+        converged=_converged("exponential gain", iterations, reason),
         stop_reason=reason,
     )
 
@@ -185,9 +188,9 @@ def gain_with_trace(
     else:
         long_params = replace(params, max_walk_length=None, tolerance=1e-15)
         [(reference, terms, reason)] = _run_series(
-            g, kind, (delta,), long_params
+            g, kind, g.spmv(np.ones(g.node_count)), (delta,), long_params
         )
-        _converged(kind, terms, reason)  # raises when the series overflows
+        _converged(f"{kind} gain", terms, reason)  # raises on overflow
         ref_kind = "long-run"
     ref_norm = _norm(reference)
 
@@ -200,7 +203,7 @@ def gain_with_trace(
             errors.append((k, _norm(reference - acc) / ref_norm))
 
     [(scores, iterations, reason)] = _run_series(
-        g, kind, (delta,), params, record
+        g, kind, g.spmv(np.ones(g.node_count)), (delta,), params, record
     )
     snapshot = params.snapshot(delta=None, delta_star=None)
     if kind == "geometric":
@@ -210,7 +213,7 @@ def gain_with_trace(
         metric="gpg" if kind == "geometric" else "epg",
         params=snapshot,
         iterations_used=iterations,
-        converged=_converged(kind, iterations, reason),
+        converged=_converged(f"{kind} gain", iterations, reason),
         stop_reason=reason,
     )
     trace = ConvergenceTrace(
@@ -222,9 +225,13 @@ def gain_with_trace(
     return vector, trace
 
 
-def _run_series(g, kind, deltas, params, per_term=None):
-    """The one truncated-series loop, shared by every gain computation.
+def _run_series(g, kind, first, deltas, params, per_term=None):
+    """The one truncated-series loop, shared by every walk-series computation.
 
+    ``first`` is the series' first term: A 1 for the gains, the ones vector
+    for Katz and communicability. The loop overwrites it (it becomes one of
+    the two term buffers). Term k + 1 is A times term k, scaled by the
+    largest decay (``kind="geometric"``) or by 1/k (``"exponential"``).
     Returns one ``(scores, terms_used, stop_reason)`` per entry of
     ``deltas``; the reason is ``"tolerance"``, ``"max_k"`` (the caller's
     walk-length cap), ``"safety_cap"`` (``SAFETY_MAX_TERMS``) or
@@ -239,16 +246,14 @@ def _run_series(g, kind, deltas, params, per_term=None):
     exponential kind takes ``deltas=(0.0,)``. ``per_term(k, acc)`` sees
     the first accumulator after every term.
     """
-    n = g.node_count
-    if n == 0 or g.edge_count == 0:
-        zeros = np.zeros(n)
-        if per_term is not None and (params.max_walk_length or 1) >= 1:
-            per_term(1, zeros)
-        return [(zeros.copy(), 1, "tolerance") for _ in deltas]
+    if not first.any():  # every later term is zero too: the sum is exact
+        if per_term is not None:
+            per_term(1, first)
+        return [(first.copy(), 1, "tolerance") for _ in deltas]
 
     top = max(deltas)
     ratios = [d / top if kind == "geometric" else 1.0 for d in deltas]
-    term = g.spmv(np.ones(n))  # A 1, the walk-length-1 term
+    term = first
     accs = [term.copy() for _ in deltas]
     spare = np.empty_like(term)  # ping-pong buffer: no allocation per term
     k = 1
@@ -287,19 +292,20 @@ def _run_series(g, kind, deltas, params, per_term=None):
     overflowed = any(reason == "nonfinite" for _, reason in stopped)
     if max_term_norm > TERM_NORM_WARN and not overflowed:  # callers raise then
         warnings.warn(
-            f"{kind} gain: intermediate term norm reached {max_term_norm:.3g}; "
+            f"{kind} series: intermediate term norm reached {max_term_norm:.3g}; "
             "scores may lose precision",
             RuntimeWarning,
         )
     return [(acc, *stop) for acc, stop in zip(accs, stopped)]
 
 
-def _converged(kind: str, terms: int, reason: str) -> bool:
-    """``converged`` for a series stop reason: the tolerance rule fired or
-    the caller's walk-length cap bound. A non-finite stop raises."""
+def _converged(label: str, terms: int, reason: str) -> bool:
+    """``converged`` for a gain series stop reason: the tolerance rule fired
+    or the caller's walk-length cap bound. A non-finite stop raises a
+    ``SeriesOverflowError`` that names the series by ``label``."""
     if reason == "nonfinite":
         raise SeriesOverflowError(
-            f"{kind} gain: the series overflows float64 after {terms} terms"
+            f"{label}: the series overflows float64 after {terms} terms"
         )
     return reason in ("tolerance", "max_k")
 

@@ -514,8 +514,3 @@ def _decode(columns: list[np.ndarray], rows: np.ndarray) -> tuple[str, ...]:
     step = 1 << 14  # bytes objects for one slice at a time
     return tuple(label.decode("ascii") for i in range(0, raw.size, step)
                  for label in raw[i : i + step].tolist())
-
-
-def degree_vector(g: Graph) -> np.ndarray:
-    """Per-node degrees (doubles as the DEG centrality baseline)."""
-    return g.degrees

@@ -13,8 +13,9 @@ from pgain.errors import PgainError
 class CentralityVector:
     """Per-node scores plus the parameters that produced them.
 
-    ``stop_reason`` says why a gain series stopped (``tolerance``,
-    ``max_k`` or ``safety_cap``); it is None for the other computations.
+    ``stop_reason`` says why a walk series (GPG, EPG, Katz or
+    communicability) stopped: ``tolerance``, ``max_k`` or ``safety_cap``.
+    It is None for the other computations.
     """
 
     scores: np.ndarray

@@ -9,9 +9,6 @@ from pgain import (
     Graph,
     ParameterError,
     UndefinedCorrelationError,
-    correlation_matrix,
-    convergence_report,
-    degree_centrality,
     delta_sweep,
     exponential_potential_gain,
     geometric_potential_gain,
@@ -19,7 +16,7 @@ from pgain import (
     power_iteration,
     spearman_rho,
 )
-from pgain.analysis import SWEEP_COLUMNS, average_ranks, timed
+from pgain.analysis import SWEEP_COLUMNS, average_ranks
 from pgain.generate import ring_edges
 
 from conftest import ba_graph
@@ -83,39 +80,6 @@ def test_spearman_symmetric_and_monotone_invariant(xs, seed):
     assert abs(rho) <= 1.0 + 1e-12
 
 
-class TestCorrelationMatrix:
-    def test_identical_vectors(self, star_plus_tail):
-        deg = degree_centrality(star_plus_tail)
-        report = correlation_matrix([deg, deg])
-        np.testing.assert_array_equal(report.rho, np.ones((2, 2)))
-
-    def test_uniform_metrics_reported_missing(self, k3):
-        # every metric on K3 is uniform, so every pair (diagonal included)
-        # has zero rank variance
-        report = correlation_matrix(
-            [degree_centrality(k3), exponential_potential_gain(k3)]
-        )
-        assert np.all(np.isnan(report.rho))
-        assert len(report.missing) == 3  # (deg,deg), (deg,epg), (epg,epg)
-
-    def test_star_degree_vs_epg(self, s4):
-        report = correlation_matrix(
-            [degree_centrality(s4), exponential_potential_gain(s4)]
-        )
-        assert report.value("deg", "epg") == 1.0
-
-    def test_names_sorted(self, star_plus_tail):
-        report = correlation_matrix(
-            [exponential_potential_gain(star_plus_tail),
-             degree_centrality(star_plus_tail)]
-        )
-        assert report.metric_names == ("deg", "epg")
-
-    def test_needs_two_vectors(self, s4):
-        with pytest.raises(ParameterError):
-            correlation_matrix([degree_centrality(s4)])
-
-
 class TestDeltaSweep:
     def test_katz_column_is_one_everywhere(self, star_plus_tail):
         result = delta_sweep(star_plus_tail)
@@ -170,42 +134,3 @@ class TestDeltaSweep:
             delta_sweep(star_plus_tail, grid=[0.5, 0.2])
         with pytest.raises(ParameterError):
             delta_sweep(star_plus_tail, grid=[0.0, 0.5])
-
-
-class TestConvergenceReport:
-    def test_k3_geometric_reaches_1e6_by_20(self, k3):
-        traces = convergence_report(
-            k3, delta_stars=[0.5], kinds=["geometric"], max_walk_length=20,
-            tolerance=None,
-        )
-        assert dict(traces[0].errors)[20] < 1e-6
-
-    def test_p2_exponential_reaches_1e10_by_15(self, p2):
-        traces = convergence_report(
-            p2, kinds=["exponential"], max_walk_length=15, tolerance=None
-        )
-        assert dict(traces[0].errors)[15] < 1e-10
-
-    def test_one_trace_per_combination(self, k3):
-        traces = convergence_report(
-            k3, delta_stars=[0.25, 0.5], kinds=["geometric", "exponential"],
-            max_walk_length=10, tolerance=None,
-        )
-        # exponential ignores delta_star, so 2 geometric + 1 exponential
-        assert [t.metric for t in traces] == ["gpg", "gpg", "epg"]
-
-    def test_csv_format(self, k3):
-        traces = convergence_report(
-            k3, delta_stars=[0.5], kinds=["geometric"], max_walk_length=5,
-            tolerance=None,
-        )
-        lines = traces[0].to_csv().strip().split("\n")
-        assert lines[0] == "k,epsilon"
-        assert len(lines) == 6
-
-
-def test_timed_records_iterations(k3):
-    vector, record = timed(lambda: exponential_potential_gain(k3))
-    assert record.wall_seconds > 0
-    assert record.iterations == vector.iterations_used
-    assert record.per_iteration_seconds <= record.wall_seconds

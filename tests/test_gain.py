@@ -268,7 +268,8 @@ class TestSeriesEngine:
         lam = power_iteration(g).lambda1
         stars = [0.01, 0.5, 0.99]
         params = GainParams(tolerance=1e-12)
-        series = _run_series(g, "geometric", [s / lam for s in stars], params)
+        series = _run_series(g, "geometric", g.spmv(np.ones(g.node_count)),
+                             [s / lam for s in stars], params)
         for star, (scores, terms, reason) in zip(stars, series):
             alone = geometric_potential_gain(
                 g, GainParams(delta_star=star, tolerance=1e-12), lambda1=lam
@@ -314,7 +315,7 @@ class TestStopReasons:
     def test_edgeless_series_is_exact(self):
         g = Graph.from_edges([(0, 0), (1, 1)])
         [(scores, terms, reason)] = _run_series(
-            g, "geometric", (0.5,), GainParams(max_walk_length=2)
+            g, "geometric", g.spmv(np.ones(2)), (0.5,), GainParams(max_walk_length=2)
         )
         assert reason == "tolerance" and not scores.any()
 
@@ -337,6 +338,13 @@ class TestOverflow:
         exact = 399 * math.exp(399)
         np.testing.assert_allclose(v.scores, np.full(400, exact), rtol=1e-9)
 
+    def test_k400_communicability_matches_closed_form(self):
+        # exp(A) 1 = e^(n-1) 1 on K_n: the series' squared norms overflow
+        g = Graph.from_edges(complete_edges(400))
+        v = communicability_vector(g)
+        np.testing.assert_allclose(v.scores, np.full(400, math.exp(399)), rtol=1e-9)
+        assert v.converged and v.stop_reason == "tolerance"
+
     @pytest.fixture(scope="class")
     def k760(self):
         # EPG = 759 e^759 exceeds float64
@@ -355,9 +363,22 @@ class TestOverflow:
         assert len(calls) < 1000
         assert issubclass(SeriesOverflowError, PgainError)
 
+    def test_k760_communicability_fails_fast(self, k760, monkeypatch):
+        # exp(A) 1 = e^759 overflows too; Katz and communicability share
+        # the gains' series engine and its non-finite stop
+        calls = []
+        spmv = Graph.spmv
+        monkeypatch.setattr(
+            Graph, "spmv", lambda self, *a, **k: calls.append(1) or spmv(self, *a, **k)
+        )
+        with pytest.raises(SeriesOverflowError, match="overflows float64"):
+            communicability_vector(k760)
+        assert len(calls) < 1000
+
     def test_k760_stop_reason(self, k760):
         [(_, terms, reason)] = _run_series(
-            k760, "exponential", (0.0,), GainParams(max_walk_length=10_000)
+            k760, "exponential", k760.spmv(np.ones(760)), (0.0,),
+            GainParams(max_walk_length=10_000),
         )
         assert reason == "nonfinite" and terms < 1000
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgain import Graph, ParameterError, ParseError, degree_vector, parse_edge_list
+from pgain import Graph, ParameterError, ParseError, parse_edge_list
 from pgain import graph as graph_module
 
 
@@ -21,7 +21,7 @@ class TestParsing:
         g = parse("a b\nb c\nc a\n")
         assert g.node_count == 3
         assert g.edge_count == 3
-        assert list(degree_vector(g)) == [2, 2, 2]
+        assert list(g.degrees) == [2, 2, 2]
 
     def test_duplicate_and_self_loop(self):
         g = parse("1 2\n2 1\n1 1\n")
@@ -58,7 +58,7 @@ class TestParsing:
         g = parse("1 1\n")
         assert (g.node_count, g.edge_count) == (1, 0)
         assert g.self_loops_dropped == 1
-        assert list(degree_vector(g)) == [0]
+        assert list(g.degrees) == [0]
 
     def test_labels_first_seen_order(self):
         g = parse("x y\nz x\n")
@@ -86,13 +86,13 @@ class TestStructure:
         assert not s4.has_edge(1, 2)
 
     def test_degree_examples(self, k3, p2, s4):
-        assert list(degree_vector(k3)) == [2, 2, 2]
-        assert list(degree_vector(p2)) == [1, 1]
-        assert list(degree_vector(s4)) == [4, 1, 1, 1, 1]
+        assert list(k3.degrees) == [2, 2, 2]
+        assert list(p2.degrees) == [1, 1]
+        assert list(s4.degrees) == [4, 1, 1, 1, 1]
 
     def test_degree_sum_is_twice_edges(self, star_plus_tail):
         g = star_plus_tail
-        assert int(degree_vector(g).sum()) == 2 * g.edge_count
+        assert int(g.degrees.sum()) == 2 * g.edge_count
 
     def test_adjacency_symmetric(self, star_plus_tail):
         g = star_plus_tail
@@ -242,7 +242,7 @@ edge_lists = st.lists(
 @settings(max_examples=60, deadline=None)
 def test_from_edges_invariants(pairs):
     g = Graph.from_edges(pairs)
-    deg = degree_vector(g)
+    deg = g.degrees
     assert int(deg.sum()) == 2 * g.edge_count
     # spmv on the all-ones vector reproduces degrees on every graph
     np.testing.assert_allclose(g.spmv(np.ones(g.node_count)), deg.astype(float))
