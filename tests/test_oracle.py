@@ -89,7 +89,11 @@ class TestOracleGain:
 
 
 class TestJacobi:
+    def test_complete_graph_spectrum(self):
+        g = Graph.from_edges(complete_edges(5))
+        eigs = np.sort(np.linalg.eigvalsh(oracle.dense_adjacency(g)))[::-1]
+        np.testing.assert_allclose(eigs, [4, -1, -1, -1, -1], atol=1e-10)
+        assert oracle.oracle_lambda1(g) == pytest.approx(4.0, abs=1e-10)
+
     def test_lambda1_helper(self, s4):
         assert oracle.oracle_lambda1(s4) == pytest.approx(2.0, abs=1e-10)
-        k5 = Graph.from_edges(complete_edges(5))
-        assert oracle.oracle_lambda1(k5) == pytest.approx(4.0, abs=1e-10)
