@@ -39,9 +39,10 @@ def bench_kernel(kernel, g, iters, repeats):
 
 def bench_end_to_end(g, iters, repeats):
     params = GainParams(delta_star=0.5, max_walk_length=iters, tolerance=None)
-    from pgain.spectral import power_iteration
+    from pgain.spectral import lanczos
 
-    lam = power_iteration(g, tol=1e-6, max_iter=200).lambda1
+    [estimate] = lanczos(g, [(1e-6, 200)])
+    lam = estimate.lambda1
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()

@@ -26,8 +26,7 @@ from pgain.graph import Graph, parse_edge_list
 from pgain.spectral import (
     SpectralEstimate,
     eigenvector_centrality,
-    power_iteration,
-    power_iteration_rules,
+    lanczos,
 )
 from pgain.vectors import CentralityVector, ConvergenceTrace
 
@@ -55,9 +54,8 @@ __all__ = [
     "gain_with_trace",
     "geometric_potential_gain",
     "katz_centrality",
+    "lanczos",
     "pagerank",
     "parse_edge_list",
-    "power_iteration",
-    "power_iteration_rules",
     "spearman_rho",
 ]

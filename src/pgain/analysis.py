@@ -1,6 +1,6 @@
 """Spearman rank correlation and the decay sweep.
 
-``delta_sweep`` costs one power iteration (lambda1 and the EC column), one
+``delta_sweep`` costs one Lanczos solve (lambda1 and the EC column), one
 PageRank, one EPG and a single multi-decay GPG series pass, whose SpMV
 count is that of the largest delta_star alone. Every vector is ranked once
 and each Spearman coefficient is computed from the ranks.
@@ -84,7 +84,7 @@ def _rho_from_ranks(rx: np.ndarray, ry: np.ndarray) -> float:
 @dataclass(frozen=True)
 class SweepResult:
     """Correlations of the geometric gain against the other metrics, per
-    normalized decay value. ``converged`` is False when power iteration,
+    normalized decay value. ``converged`` is False when the lambda1 solve,
     PageRank, EPG or the GPG series at any grid value stopped at its cap."""
 
     delta_star_grid: np.ndarray
@@ -114,7 +114,7 @@ def delta_sweep(
 ) -> SweepResult:
     """Correlate GPG (and Katz) against the fixed baselines across the grid.
 
-    One power iteration gives lambda1 (unless supplied) and the EC column.
+    One Lanczos solve gives lambda1 (unless supplied) and the EC column.
     Every grid GPG comes from one series pass, which costs about the SpMVs
     of the largest delta_star alone. The Katz column is 1 + delta * GPG,
     the identity Katz = 1 + delta A Katz, rather than a separate solve.
@@ -125,7 +125,7 @@ def delta_sweep(
         raise ParameterError("grid values must lie strictly inside (0, 1)")
     if np.any(np.diff(grid) <= 0):
         raise ParameterError("grid must be strictly ascending")
-    spectrum = spectral.power_iteration(g)
+    [spectrum] = spectral.lanczos(g)
     lam = spectrum.lambda1 if lambda1 is None else lambda1
     deltas = [
         GainParams(delta_star=float(star)).resolve_delta(lam) for star in grid

@@ -11,6 +11,8 @@ SpMV on a degree-scaled vector).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from pgain.errors import ParameterError
@@ -37,16 +39,20 @@ def katz_centrality(
 ) -> CentralityVector:
     """(I - delta A)^(-1) 1 as the walk series sum of delta^k A^k 1.
 
-    Requires delta in (0, 1/lambda1); lambda1 is estimated when not given.
-    Scores are >= 1 everywhere (the series starts at the identity term).
+    Requires delta in (0, 1/lambda1); lambda1 is estimated when not given,
+    and the result is then converged only if that estimate is. Scores are
+    >= 1 everywhere (the series starts at the identity term).
     """
     _check_iteration_args(tolerance, max_iter)
     params = GainParams(delta=delta, max_walk_length=max_iter + 1,
                         tolerance=tolerance)
+    lam_converged = True
     if g.edge_count > 0:
-        params.resolve_delta(_lambda1(g, lambda1))  # rejects delta >= 1/lambda1
-    return _walk_series(g, "katz", "geometric", params,
+        lam, lam_converged = _lambda1(g, lambda1)
+        params.resolve_delta(lam)  # rejects delta >= 1/lambda1
+    katz = _walk_series(g, "katz", "geometric", params,
                         {"delta": delta, "tolerance": tolerance})
+    return replace(katz, converged=katz.converged and lam_converged)
 
 
 def pagerank(

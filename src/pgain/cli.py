@@ -10,10 +10,10 @@ Exit codes: 0 all requested computations converged, 1 I/O error,
 2 bad parameters or input, 3 a computation failed to converge (stopped at
 an iteration cap, or a series overflowed float64).
 
-``compute`` runs one power-iteration pass, for lambda1 and the ``ec``
-column together, and only when ``ec``, ``katz`` or ``gpg`` is wanted
-(otherwise the summary prints ``lambda1=nan``). Katz is 1 + delta * GPG
-from the one GPG series.
+``compute`` runs one Lanczos solve, for lambda1 and the ``ec`` column
+together, and only when ``ec``, ``katz`` or ``gpg`` is wanted (otherwise
+the summary prints ``lambda1=nan``). Katz is 1 + delta * GPG from the one
+GPG series.
 """
 
 from __future__ import annotations
@@ -36,12 +36,7 @@ from pgain.gain import (
     geometric_potential_gain,
 )
 from pgain.graph import Graph, parse_edge_list
-from pgain.spectral import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    power_iteration,
-    power_iteration_rules,
-)
+from pgain.spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, lanczos
 from pgain.vectors import CentralityVector
 
 METRICS = ("deg", "ec", "pr", "katz", "gpg", "epg")
@@ -124,7 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
     spectral = sub.add_parser("spectral", help="estimate lambda1")
     spectral.add_argument("input")
     spectral.add_argument("--tol", type=float, default=1e-10)
-    spectral.add_argument("--max-iter", type=int, default=10_000)
+    spectral.add_argument("--max-iter", type=int, default=10_000,
+                          help="cap on the SpMVs of both Lanczos passes")
     spectral.set_defaults(handler=_cmd_spectral)
     return parser
 
@@ -157,19 +153,19 @@ def _cmd_compute(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     all_converged = True
-    # One power-iteration pass gives lambda1 and the EC column; it runs only
-    # when a wanted metric needs one of them.
+    # One Lanczos solve gives lambda1 and the EC column; it runs only when a
+    # wanted metric needs one of them.
     uses_lambda1 = bool({"katz", "gpg"} & set(wanted))
     estimates = []
     if uses_lambda1 or "ec" in wanted:
         rules = [(DEFAULT_TOL, DEFAULT_MAX_ITER)]
         if "ec" in wanted:
             rules.append((args.tol, max_iter))
-        estimates = power_iteration_rules(graph, rules)
+        estimates = lanczos(graph, rules)
     lam = estimates[0].lambda1 if estimates else math.nan
     if uses_lambda1 and not estimates[0].converged:
-        print("pgain: warning: the lambda1 power iteration stopped at its"
-              " iteration cap before converging", file=sys.stderr)
+        print("pgain: warning: the lambda1 solve stopped at its iteration"
+              " cap before converging", file=sys.stderr)
         all_converged = False
     gpg = None
     for metric in wanted:
@@ -333,7 +329,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_spectral(args) -> int:
     graph = parse_edge_list(args.input)
-    estimate = power_iteration(graph, tol=args.tol, max_iter=args.max_iter)
+    [estimate] = lanczos(graph, [(args.tol, args.max_iter)])
     print(
         f"lambda1={estimate.lambda1:.17g} residual={estimate.residual:.6g}"
         f" iterations={estimate.iterations} converged={estimate.converged}"

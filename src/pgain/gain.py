@@ -108,11 +108,12 @@ def geometric_potential_gain(
 ) -> CentralityVector:
     """Geometric potential gain of every node.
 
-    ``lambda1`` is estimated by power iteration when not supplied (it is
-    needed to resolve delta_star and to validate delta).
+    ``lambda1`` is estimated by ``spectral.lanczos`` when not supplied (it
+    is needed to resolve delta_star and to validate delta); the result is
+    then converged only if that estimate is.
     """
     params = params or GainParams()
-    lam = _lambda1(g, lambda1)
+    lam, lam_converged = _lambda1(g, lambda1)
     delta = params.resolve_delta(lam)
     [(scores, iterations, reason)] = _run_series(
         g, "geometric", g.spmv(np.ones(g.node_count)), (delta,), params
@@ -122,7 +123,8 @@ def geometric_potential_gain(
         metric="gpg",
         params=params.snapshot(delta=delta, delta_star=delta * lam, lambda1=lam),
         iterations_used=iterations,
-        converged=_converged("geometric gain", iterations, reason),
+        converged=_converged("geometric gain", iterations, reason)
+        and lam_converged,
         stop_reason=reason,
     )
 
@@ -168,16 +170,17 @@ def gain_with_trace(
     """Gain plus the per-k relative error against a converged reference.
 
     The reference is the dense oracle when n <= 64, otherwise the same
-    series run to a relative term contribution of 1e-15.
+    series run to a relative term contribution of 1e-15. A geometric gain
+    whose lambda1 was estimated here is converged only if that estimate is.
     """
     if kind not in ("geometric", "exponential"):
         raise ParameterError(f"unknown gain kind {kind!r}")
     params = params or GainParams()
+    lam, lam_converged = lambda1, True
     if kind == "geometric":
-        lam = _lambda1(g, lambda1)
+        lam, lam_converged = _lambda1(g, lambda1)
         delta = params.resolve_delta(lam)
     else:
-        lam = lambda1
         delta = 0.0
 
     if g.node_count <= oracle.SIZE_GUARD:
@@ -213,7 +216,8 @@ def gain_with_trace(
         metric="gpg" if kind == "geometric" else "epg",
         params=snapshot,
         iterations_used=iterations,
-        converged=_converged(f"{kind} gain", iterations, reason),
+        converged=_converged(f"{kind} gain", iterations, reason)
+        and lam_converged,
         stop_reason=reason,
     )
     trace = ConvergenceTrace(
@@ -320,13 +324,16 @@ def _norm(x: np.ndarray) -> float:
     return norm
 
 
-def _lambda1(g: Graph, lambda1: float | None) -> float:
+def _lambda1(g: Graph, lambda1: float | None) -> tuple[float, bool]:
+    """``(lambda1, converged)``: the caller's value, taken as exact, or the
+    ``spectral.lanczos`` estimate and whether it met its tolerance."""
     if lambda1 is not None:
         if lambda1 < 0 or not math.isfinite(lambda1):
             raise ParameterError(f"lambda1 must be finite and >= 0, got {lambda1}")
-        return lambda1
+        return lambda1, True
     if g.node_count == 0:
         raise ParameterError("empty graph")
     if g.edge_count == 0:
-        return 0.0
-    return spectral.power_iteration(g).lambda1
+        return 0.0, True
+    [estimate] = spectral.lanczos(g)
+    return estimate.lambda1, estimate.converged

@@ -1,15 +1,21 @@
-"""Spectral radius and principal eigenvector via shifted power iteration.
+"""Spectral radius and principal eigenvector by two-pass Lanczos.
 
-The iteration runs on A + I rather than A: on bipartite graphs the spectrum
-of A contains -lambda1 and the unshifted iteration need not settle, while
-A + I has a unique dominant eigenvalue lambda1 + 1 with the same eigenvector.
-The iterates do not depend on the tolerance, so ``power_iteration_rules``
-serves several stop rules (lambda1 and the EC column) from one pass;
-``power_iteration`` is its single-rule case.
+``lanczos`` runs the Lanczos three-term recurrence on A from the uniform
+vector without storing a basis. Pass 1 builds the tridiagonal T_m and
+stops once the top Ritz pair (theta, s) of T_m has a Ritz residual
+beta_m |s_m| of at most ``10 * tol * theta``. Pass 2 replays the same
+recurrence, bit for bit, and sums s_j q_j into the Ritz vector, the
+eigenvector (EC) column. Every ``KRYLOV_DIM`` steps the recurrence restarts
+from the current Ritz vector, so the dense eigensolve of T_m stays small on
+graphs with a slow spectral gap. The top Ritz value is the largest one, not
+the largest in modulus, so bipartite graphs give +lambda1. The recurrence
+does not depend on the tolerance, so one run serves several stop rules
+(lambda1 and the EC column).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,15 +27,16 @@ from pgain.vectors import CentralityVector
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
+KRYLOV_DIM = 64  # Lanczos steps before a restart from the Ritz vector
 
 
 @dataclass(frozen=True)
 class SpectralEstimate:
-    lambda1: float
-    eigenvector: np.ndarray  # unit L2 norm, entries >= 0
-    iterations: int
+    lambda1: float  # the top Ritz value
+    eigenvector: np.ndarray  # its Ritz vector: unit L2 norm, entries >= 0
+    iterations: int  # SpMVs of both passes
     converged: bool
-    residual: float  # ||A v - lambda1 v||_2
+    residual: float  # the Ritz residual beta_m |s_m|, estimates ||A v - lambda1 v||_2
 
     def centrality(self, tol: float) -> CentralityVector:
         """The eigenvector as the EC baseline, found at tolerance ``tol``."""
@@ -42,32 +49,18 @@ class SpectralEstimate:
         )
 
 
-def power_iteration(
-    g: Graph, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
-) -> SpectralEstimate:
-    """Estimate lambda1 and its eigenvector.
-
-    Starts from the uniform positive vector and iterates x <- (A+I)x,
-    normalized. Stops once the Rayleigh quotient of A is stable to ``tol``
-    (relative) and the residual is below ``10 * tol * lambda1``; otherwise
-    returns ``converged=False`` after ``max_iter`` rounds.
-
-    On disconnected graphs the estimate belongs to the component with the
-    largest spectral radius and the eigenvector is supported there.
-    """
-    [estimate] = power_iteration_rules(g, [(tol, max_iter)])
-    return estimate
-
-
-def power_iteration_rules(
-    g: Graph, rules: Sequence[tuple[float, int]]
+def lanczos(
+    g: Graph, rules: Sequence[tuple[float, int]] = ((DEFAULT_TOL, DEFAULT_MAX_ITER),)
 ) -> list[SpectralEstimate]:
-    """One power iteration serving several ``(tol, max_iter)`` stop rules.
+    """Estimate lambda1 and its eigenvector, once per ``(tol, max_iter)`` rule.
 
-    The iterates do not depend on the tolerance, so a single pass freezes a
-    snapshot for each rule when that rule fires and ends once every rule
-    has fired. Each snapshot is exactly what ``power_iteration(g, tol,
-    max_iter)`` returns on its own.
+    A rule is met when the Ritz residual is at most ``10 * tol * lambda1``.
+    ``max_iter`` caps the SpMVs of both passes; a rule whose next step would
+    pass its cap stops with ``converged=False``. Each estimate is exactly
+    what a call with that rule alone returns, and the run costs the SpMVs of
+    its longest rule. On a disconnected graph the eigenvector is the
+    projection of the uniform start onto the top eigenspace, supported on
+    the components with the largest spectral radius.
     """
     for tol, max_iter in rules:
         if tol <= 0:
@@ -78,48 +71,97 @@ def power_iteration_rules(
     if n == 0:
         raise ParameterError("empty graph has no spectrum")
 
-    x = np.full(n, 1.0 / np.sqrt(n))
-    lam_prev = np.inf
-    snapshots: list[SpectralEstimate | None] = [None] * len(rules)
-    active = list(range(len(rules)))
-    iteration = 0
-    while active:
-        iteration += 1
-        y = g.spmv(x)  # A x
-        lam = float(x @ y)
-        residual = float(np.linalg.norm(y - lam * x))
-        for j in active:
-            tol = rules[j][0]
-            if (
-                abs(lam - lam_prev) <= tol * max(abs(lam), 1e-300)
-                and residual <= 10.0 * tol * max(lam, 1e-300)
-            ):
-                snapshots[j] = SpectralEstimate(
-                    lam, _freeze(x), iteration, True, residual
-                )
-        active = [j for j in active if snapshots[j] is None]
+    start = np.full(n, 1.0 / np.sqrt(n))
+    buffers = [np.empty(n) for _ in range(3)]  # q_prev, q, w
+    tri = np.zeros((KRYLOV_DIM + 1, KRYLOV_DIM))  # T_m, lower triangle
+    estimates: list[SpectralEstimate | None] = [None] * len(rules)
+    spent = 0  # SpMVs of the finished restart cycles
+    while True:
+        active = [j for j, est in enumerate(estimates) if est is None]
+        stops = {}  # rule -> (Ritz coefficients, theta, cost, converged, residual)
+        for m, (alpha, beta) in enumerate(_recurrence(g, start, buffers), 1):
+            tri[m - 1, m - 1], tri[m, m - 1] = alpha, beta
+            # eigh of a 1 x 1 matrix would return the same pair, only slower
+            thetas, vectors = (np.linalg.eigh(tri[:m, :m]) if m > 1
+                               else (tri[0, :1], np.ones((1, 1))))
+            theta, s = float(thetas[-1]), vectors[:, -1]
+            residual = beta * abs(float(s[-1]))
+            cost = spent + 2 * m - 1  # pass 1 to step m, pass 2 to q_m
+            next_cost = cost + (2 if m < KRYLOV_DIM else 1)
+            for j in active:
+                tol, max_iter = rules[j]
+                met = residual <= 10.0 * tol * theta
+                if met or next_cost > max_iter:
+                    stops[j] = (s, theta, cost, met, residual)
+            active = [j for j in active if j not in stops]
+            if not active or m == KRYLOV_DIM:
+                break
+        restart = [s] if active else []
+        ritz = _ritz_vectors(
+            g, start, [stop[0] for stop in stops.values()] + restart, buffers
+        )
+        for (j, (_, theta, cost, met, residual)), v in zip(stops.items(), ritz):
+            v.flags.writeable = False
+            estimates[j] = SpectralEstimate(theta, v, cost, met, residual)
         if not active:
-            break
-        lam_prev = lam
-        z = y + x  # (A + I) x, strictly positive throughout
-        x = z / np.linalg.norm(z)
-        for j in active:
-            if rules[j][1] == iteration:  # the cap binds: the updated iterate
-                snapshots[j] = SpectralEstimate(
-                    lam, _freeze(x), iteration, False, residual
-                )
-        active = [j for j in active if snapshots[j] is None]
-    return snapshots
+            return estimates
+        start = ritz[-1]
+        spent += 2 * KRYLOV_DIM - 1
 
 
 def eigenvector_centrality(
     g: Graph, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
 ) -> CentralityVector:
     """Principal eigenvector of A, unit L2 norm (the EC baseline)."""
-    return power_iteration(g, tol=tol, max_iter=max_iter).centrality(tol)
+    [estimate] = lanczos(g, [(tol, max_iter)])
+    return estimate.centrality(tol)
 
 
-def _freeze(x: np.ndarray) -> np.ndarray:
-    v = x.copy()
-    v.flags.writeable = False
-    return v
+def _recurrence(g, start, buffers):
+    """Yield (alpha_m, beta_m) of the Lanczos recurrence from ``start`` for
+    m = 1, 2, ..., with q_(m+1) in ``buffers[1]`` at each yield. One SpMV
+    per step and the same arithmetic in both passes, so a replay is
+    bit-identical."""
+    q_prev, q, w = buffers
+    q_prev.fill(0.0)
+    np.copyto(q, start)
+    beta = 0.0
+    while True:
+        # w = A q_m - beta_(m-1) q_(m-1) - alpha_m q_m; q_(m-1) is dead
+        # after its term, so its buffer holds both scaled vectors
+        g.spmv(q, out=w)
+        q_prev *= beta
+        w -= q_prev
+        alpha = float(q @ w)
+        np.multiply(q, alpha, out=q_prev)
+        w -= q_prev
+        beta = math.sqrt(w @ w)
+        q_prev, q, w = q, w, q_prev
+        if beta > 0.0:
+            q /= beta
+        buffers[:] = q_prev, q, w
+        yield alpha, beta
+
+
+def _ritz_vectors(g, start, coefficients, buffers):
+    """Pass 2: replay the recurrence to sum s_j q_j for each coefficient
+    vector s, then flip each sum to a positive total and normalise it."""
+    sums = [np.empty(g.node_count) for _ in coefficients]
+    replay = _recurrence(g, start, buffers)
+    steps = max(len(s) for s in coefficients)
+    for i in range(steps):
+        q, tmp = (start if i == 0 else buffers[1]), buffers[2]  # w is free here
+        for s, v in zip(coefficients, sums):
+            if i == 0:
+                np.multiply(q, s[0], out=v)
+            elif i < len(s):
+                np.multiply(q, s[i], out=tmp)
+                v += tmp
+        if i + 1 < steps:
+            next(replay)
+    for v in sums:
+        if v.sum() < 0:
+            np.negative(v, out=v)
+        np.maximum(v, 0.0, out=v)  # the Perron vector has no negative entry
+        v /= math.sqrt(v @ v)
+    return sums

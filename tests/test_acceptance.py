@@ -20,9 +20,9 @@ from pgain import (
     gain_with_trace,
     geometric_potential_gain,
     katz_centrality,
+    lanczos,
     pagerank,
     parse_edge_list,
-    power_iteration,
     spearman_rho,
 )
 from pgain import oracle
@@ -91,7 +91,7 @@ def test_criterion_2_oracle_equivalence():
     graphs = _seeded_small_graphs(25, "er") + _seeded_small_graphs(25, "ba")
     assert len(graphs) == 50
     for g in graphs:
-        lam = power_iteration(g).lambda1
+        lam = lanczos(g)[0].lambda1
         delta = 0.5 / lam
         tight = 1e-14
         gpg = geometric_potential_gain(g, GainParams(delta=delta, tolerance=tight),
@@ -124,7 +124,7 @@ def test_criterion_4_geometric_rate():
     graphs = _seeded_small_graphs(5, "er") + _seeded_small_graphs(5, "ba")
     assert len(graphs) == 10
     for g in graphs:
-        lam = power_iteration(g).lambda1
+        lam = lanczos(g)[0].lambda1
         for star in (0.25, 0.5, 0.75):
             params = GainParams(delta_star=star, max_walk_length=21, tolerance=None)
             _, trace = gain_with_trace(g, params, kind="geometric", lambda1=lam)
@@ -162,7 +162,7 @@ def test_criterion_6_desk_scale_error_curves(tmp_path):
     assert main(["generate", "ba", "1000", "3", "--seed", "1",
                  "--out", str(ba_file)]) == 0
     g = parse_edge_list(ba_file)
-    lam = power_iteration(g).lambda1
+    lam = lanczos(g)[0].lambda1
 
     gpg_csv = tmp_path / "gpg_conv.csv"
     assert main(["convergence", "--metric", "gpg", "--delta-star", "0.5",
@@ -189,7 +189,7 @@ def test_criterion_6_desk_scale_error_curves(tmp_path):
 def test_criterion_7_correlation_limits():
     edges = [(0, i) for i in range(1, 7)] + [(0, 7), (7, 8), (7, 9), (8, 9)]
     g = Graph.from_edges(edges)
-    lam = power_iteration(g).lambda1
+    lam = lanczos(g)[0].lambda1
     deg = degree_centrality(g).scores
 
     gpg_small = geometric_potential_gain(g, GainParams(delta_star=0.01), lambda1=lam)
@@ -212,7 +212,7 @@ def test_criterion_8_linear_scaling():
     runs = []
     for i, n in enumerate(sizes):
         g = Graph.from_edges(barabasi_albert_edges(n, 3, seed=1 + i))
-        lam = power_iteration(g, tol=1e-6, max_iter=200).lambda1
+        lam = lanczos(g, [(1e-6, 200)])[0].lambda1
         runs.append(lambda g=g, lam=lam: geometric_potential_gain(
             g, params, lambda1=lam))
     gc.collect()
@@ -252,7 +252,7 @@ def test_criterion_9_optional_full_datasets():
         pytest.skip(f"large datasets not supplied (missing {missing} in {root})")
     for name, expected in KONECT_EXPECTED.items():
         g = parse_edge_list(root / name)
-        lam = power_iteration(g).lambda1
+        lam = lanczos(g)[0].lambda1
         assert round(lam, 2) == pytest.approx(expected, abs=5e-3), name
     facebook = parse_edge_list(root / "facebook.txt")
     rho = spearman_rho(

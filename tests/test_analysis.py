@@ -12,8 +12,8 @@ from pgain import (
     delta_sweep,
     exponential_potential_gain,
     geometric_potential_gain,
+    lanczos,
     pagerank,
-    power_iteration,
     spearman_rho,
 )
 from pgain.analysis import SWEEP_COLUMNS, average_ranks
@@ -115,7 +115,7 @@ class TestDeltaSweep:
         g = ba_graph(300, 3, seed=3)
         grid = [0.1, 0.5, 0.9]
         expected = (
-            power_iteration(g).iterations
+            lanczos(g)[0].iterations
             + pagerank(g).iterations_used
             + exponential_potential_gain(g).iterations_used
             + geometric_potential_gain(g, GainParams(delta_star=0.9)).iterations_used

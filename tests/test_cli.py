@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +14,11 @@ from pgain import (
     exponential_potential_gain,
     geometric_potential_gain,
     katz_centrality,
+    lanczos,
     pagerank,
     parse_edge_list,
-    power_iteration,
 )
+import pgain
 from pgain import cli
 from pgain.cli import main
 from pgain.generate import barabasi_albert_edges, complete_edges, edges_to_text
@@ -53,7 +58,7 @@ def ba_file(tmp_path):
 
 @pytest.fixture
 def p500_file(tmp_path):
-    # the path P_500 has a tiny spectral gap: power iteration hits its cap
+    # the path P_500: a slow spectral gap, so the lambda1 solve restarts often
     path = tmp_path / "p500.txt"
     path.write_text("".join(f"{i} {i + 1}\n" for i in range(499)))
     return path
@@ -144,7 +149,7 @@ class TestCompute:
         assert "n=3 m=3" in err
 
     def test_non_convergence_exits_3(self, tmp_path):
-        # a path graph needs more than one power-iteration round
+        # a path graph needs more than one Lanczos step
         path_file = tmp_path / "p4.txt"
         path_file.write_text("0 1\n1 2\n2 3\n")
         code = main([
@@ -154,19 +159,27 @@ class TestCompute:
         assert code == 3
 
     def test_unconverged_lambda1_exits_3(self, tmp_path, capsys):
-        # the path P_500 has a tiny spectral gap: power iteration hits its cap
-        path = tmp_path / "p500.txt"
-        path.write_text("".join(f"{i} {i + 1}\n" for i in range(499)))
+        # the path P_3000 has a tiny spectral gap: the lambda1 solve hits its cap
+        path = tmp_path / "p3000.txt"
+        path.write_text("".join(f"{i} {i + 1}\n" for i in range(2999)))
         code = main(["compute", "--metric", "gpg", "--out", str(tmp_path),
                      str(path)])
         assert code == 3
         err = capsys.readouterr().err
-        assert "pgain: warning: the lambda1 power iteration" in err
-        assert "metric=gpg n=500 m=499" in err
+        assert ("pgain: warning: the lambda1 solve stopped at its iteration cap"
+                in err)
+        assert "metric=gpg n=3000 m=2999" in err
         assert (tmp_path / "gpg.csv").exists()
         # deg does not use lambda1, so the same estimate does not matter
         assert main(["compute", "--metric", "deg", "--out", str(tmp_path),
                      str(path)]) == 0
+
+    def test_p500_lambda1_converges(self, p500_file, tmp_path, capsys):
+        assert main(["compute", "--metric", "gpg", "--format", "json",
+                     "--out", str(tmp_path), str(p500_file)]) == 0
+        params = json.loads((tmp_path / "gpg.json").read_text())["params"]
+        assert abs(params["lambda1"] - 2 * math.cos(math.pi / 501)) <= 1e-12
+        assert "warning" not in capsys.readouterr().err
 
     def test_non_utf8_input_is_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -180,13 +193,13 @@ class TestCompute:
 
 
 class TestComputeSharedWork:
-    """``compute`` runs one power-iteration pass and one GPG series."""
+    """``compute`` runs one Lanczos solve and one GPG series."""
 
     def test_metric_all_spmv_count(self, ba_file, tmp_path, monkeypatch):
         g = parse_edge_list(ba_file)
         expected = (
-            max(power_iteration(g).iterations,
-                power_iteration(g, tol=1e-12).iterations)
+            max(lanczos(g)[0].iterations,
+                lanczos(g, [(1e-12, 10_000)])[0].iterations)
             + pagerank(g).iterations_used
             + geometric_potential_gain(g).iterations_used
             + exponential_potential_gain(g).iterations_used
@@ -199,7 +212,7 @@ class TestComputeSharedWork:
     def test_gpg_alone_skips_the_ec_rule(self, ba_file, tmp_path, monkeypatch):
         # a tight --tol would lengthen an EC rule, not the lambda1 rule
         g = parse_edge_list(ba_file)
-        expected = (power_iteration(g).iterations + geometric_potential_gain(
+        expected = (lanczos(g)[0].iterations + geometric_potential_gain(
             g, GainParams(tolerance=1e-14)).iterations_used)
         calls = count_spmv(monkeypatch)
         assert main(["compute", "--metric", "gpg", "--tol", "1e-14",
@@ -216,8 +229,8 @@ class TestComputeSharedWork:
 
     def test_ec_alone_is_one_pass(self, ba_file, tmp_path, monkeypatch):
         g = parse_edge_list(ba_file)
-        lam_rule = power_iteration(g)
-        ec_rule = power_iteration(g, tol=1e-6)
+        lam_rule = lanczos(g)[0]
+        ec_rule = lanczos(g, [(1e-6, 10_000)])[0]
         calls = count_spmv(monkeypatch)
         assert main(["compute", "--metric", "ec", "--tol", "1e-6",
                      "--out", str(tmp_path), str(ba_file)]) == 0
@@ -230,7 +243,7 @@ class TestComputeSharedWork:
         assert main(["compute", "--metric", "katz", "--out", str(tmp_path),
                      str(ba_file)]) == 0
         g = parse_edge_list(ba_file)
-        lam = power_iteration(g).lambda1
+        lam = lanczos(g)[0].lambda1
         loop = katz_centrality(g, delta=0.5 / lam, lambda1=lam)
         scores = read_scores(tmp_path / "katz.csv")
         assert rel_err([scores[label] for label in g.labels], loop.scores) <= 1e-12
@@ -313,9 +326,9 @@ class TestSweep:
         assert "pgain: error:" in capsys.readouterr().err
 
     def test_power_iteration_cap_exits_3(self, tmp_path, capsys):
-        # the path P_500 has a tiny spectral gap: power iteration hits its cap
-        path = tmp_path / "p500.txt"
-        path.write_text("".join(f"{i} {i + 1}\n" for i in range(499)))
+        # the path P_3000 has a tiny spectral gap: the lambda1 solve hits its cap
+        path = tmp_path / "p3000.txt"
+        path.write_text("".join(f"{i} {i + 1}\n" for i in range(2999)))
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--grid", "0.5", "--out", str(out), str(path)]) == 3
         assert len(out.read_text().strip().split("\n")) == 2
@@ -387,3 +400,24 @@ class TestSpectral:
         out = capsys.readouterr().out
         assert "lambda1=2" in out
         assert "converged=True" in out
+
+
+class TestRuntime:
+    def test_compute_all_imports_no_scipy(self, ba_file, tmp_path):
+        # numpy is the only runtime dependency; the tests use scipy, so
+        # check in a fresh interpreter
+        script = (
+            "import sys\n"
+            "from pgain.cli import main\n"
+            f"code = main(['compute', '--metric', 'all', '--out', {str(tmp_path)!r},"
+            f" {str(ba_file)!r}])\n"
+            "assert code == 0, code\n"
+            "assert 'scipy' not in sys.modules\n"
+        )
+        src = str(Path(pgain.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "ec.csv").exists()

@@ -15,7 +15,7 @@ from pgain import (
     gain_with_trace,
     geometric_potential_gain,
     katz_centrality,
-    power_iteration,
+    lanczos,
     spearman_rho,
 )
 from pgain import oracle
@@ -51,7 +51,7 @@ class TestClosedForms:
 class TestOracleEquivalence:
     def test_gpg_er20_matches_truncated_oracle(self):
         g = er_graph(20, 0.25, seed=3)
-        lam = power_iteration(g).lambda1
+        lam = lanczos(g)[0].lambda1
         params = GainParams(delta=0.5 / lam, max_walk_length=15, tolerance=None)
         v = geometric_potential_gain(g, params, lambda1=lam)
         assert v.iterations_used == 15
@@ -137,7 +137,7 @@ class TestConvergenceRates:
         g = er_graph(20 + 5 * seed, 0.2, seed) if seed % 2 else ba_graph(
             20 + 5 * seed, 2, seed
         )
-        lam = power_iteration(g).lambda1
+        lam = lanczos(g)[0].lambda1
         params = GainParams(delta_star=star, max_walk_length=21, tolerance=None)
         _, trace = gain_with_trace(g, params, kind="geometric", lambda1=lam)
         eps = dict(trace.errors)
@@ -165,7 +165,7 @@ class TestIdentities:
     @pytest.mark.parametrize("seed", range(3))
     def test_gpg_is_adjacency_times_katz(self, seed):
         g = er_graph(30, 0.2, seed)
-        lam = power_iteration(g).lambda1
+        lam = lanczos(g)[0].lambda1
         delta = 0.5 / lam
         gpg = geometric_potential_gain(g, GainParams(delta=delta), lambda1=lam)
         katz = katz_centrality(g, delta, tolerance=1e-14, lambda1=lam)
@@ -259,13 +259,32 @@ class TestParameterValidation:
         assert v.converged
 
 
+class TestLambda1Converged:
+    """A result that estimated lambda1 itself is converged only if that
+    estimate is. On the path P_3000 the lambda1 solve stops at its cap."""
+
+    def test_unconverged_lambda1_reaches_the_result(self):
+        g = Graph.from_edges([(i, i + 1) for i in range(2999)])
+        params = GainParams(delta_star=0.5)
+        gpg = geometric_potential_gain(g, params)
+        assert gpg.stop_reason == "tolerance" and not gpg.converged
+        assert not gain_with_trace(g, params)[0].converged
+        katz = katz_centrality(g, 0.49)
+        assert katz.stop_reason == "tolerance" and not katz.converged
+        # a supplied lambda1 is taken as exact: the series alone decides
+        lam = 2 * math.cos(math.pi / 3001)
+        assert geometric_potential_gain(g, params, lambda1=lam).converged
+        assert gain_with_trace(g, params, lambda1=lam)[0].converged
+        assert katz_centrality(g, 0.49, lambda1=lam).converged
+
+
 class TestSeriesEngine:
     @pytest.mark.parametrize(
         "g", [ba_graph(300, 3, seed=5), er_graph(300, 0.02, seed=6)],
         ids=["ba", "er"],
     )
     def test_multi_decay_matches_separate_solves(self, g):
-        lam = power_iteration(g).lambda1
+        lam = lanczos(g)[0].lambda1
         stars = [0.01, 0.5, 0.99]
         params = GainParams(tolerance=1e-12)
         series = _run_series(g, "geometric", g.spmv(np.ones(g.node_count)),
@@ -281,7 +300,7 @@ class TestSeriesEngine:
 
     def test_single_decay_is_the_plain_recurrence(self):
         g = ba_graph(200, 3, seed=2)
-        delta, tol = 0.3 / power_iteration(g).lambda1, 1e-12
+        delta, tol = 0.3 / lanczos(g)[0].lambda1, 1e-12
         term = g.spmv(np.ones(g.node_count))
         acc, k = term.copy(), 1
         while True:
