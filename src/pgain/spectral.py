@@ -36,7 +36,7 @@ class SpectralEstimate:
     eigenvector: np.ndarray  # its Ritz vector: unit L2 norm, entries >= 0
     iterations: int  # SpMVs of both passes
     converged: bool
-    residual: float  # the Ritz residual beta_m |s_m|, estimates ||A v - lambda1 v||_2
+    residual: float  # Ritz residual beta_m |s_m|, estimates ||A v - lambda1 v||
 
     def centrality(self, tol: float) -> CentralityVector:
         """The eigenvector as the EC baseline, found at tolerance ``tol``."""

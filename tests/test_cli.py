@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pgain
 from pgain import (
     GainParams,
     Graph,
@@ -18,7 +19,6 @@ from pgain import (
     pagerank,
     parse_edge_list,
 )
-import pgain
 from pgain import cli
 from pgain.cli import main
 from pgain.generate import barabasi_albert_edges, complete_edges, edges_to_text
