@@ -1,7 +1,9 @@
-"""Build script: compiles the CSR kernels when a toolchain is available.
+"""Build script: compiles the C SpMV kernel when a C compiler is available.
 
-The package works without the extension (a numpy fallback is selected at
-import time), so extension build failures are demoted to warnings.
+``src/pgain/_ckernels.c`` needs only a compiler and the Python headers;
+``python setup.py build_ext --inplace`` builds it next to the sources. The
+package works without it (a numpy fallback is selected at import time), so
+build failures are demoted to warnings.
 """
 
 import warnings
@@ -24,17 +26,8 @@ class OptionalBuildExt(build_ext):
             warnings.warn(f"skipping compiled kernel {ext.name}: {exc}")
 
 
-def _extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        return []
-    ext = Extension(
-        "pgain._ckernels",
-        sources=["src/pgain/_ckernels.pyx"],
-        extra_compile_args=["-O3"],
-    )
-    return cythonize([ext], compiler_directives={"language_level": "3"})
-
-
-setup(cmdclass={"build_ext": OptionalBuildExt}, ext_modules=_extensions())
+setup(
+    cmdclass={"build_ext": OptionalBuildExt},
+    ext_modules=[Extension("pgain._ckernels", ["src/pgain/_ckernels.c"],
+                           extra_compile_args=["-O3"])],
+)

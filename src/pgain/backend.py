@@ -1,8 +1,10 @@
 """Kernel backend selection.
 
-The compiled Cython kernels are used when importable. Set PGAIN_BACKEND to
-``python`` to force the numpy fallback, or ``cython`` to fail loudly when the
-extension is missing (default ``auto``).
+The compiled kernel, ``_ckernels`` (plain C built from ``_ckernels.c`` by
+``setup.py``), is used when importable. Set PGAIN_BACKEND to ``python`` to
+force the numpy fallback, or ``cython`` to fail loudly when the extension is
+missing (default ``auto``). ``cython`` is the name the compiled kernel had
+when it was a Cython module; ``BACKEND`` and the benchmark records keep it.
 """
 
 import os

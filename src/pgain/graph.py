@@ -51,8 +51,12 @@ class Graph:
     duplicates_collapsed: int = 0
 
     def __post_init__(self):
-        if self.indptr.ndim != 1 or self.indices.ndim != 1:
-            raise ParameterError("indptr and indices must be 1-d arrays")
+        # The compiled kernel takes only this layout; checking it here makes
+        # a graph behave the same on either backend.
+        for a in (self.indptr, self.indices):
+            if a.dtype != np.int64 or a.ndim != 1 or not a.flags.c_contiguous:
+                raise ParameterError(
+                    "indptr and indices must be contiguous 1-d int64 arrays")
         n = self.indptr.size - 1
         if n < 0 or len(self.labels) != n:
             raise ParameterError("label count does not match indptr")

@@ -1,15 +1,45 @@
 """The compiled and pure-Python kernels must agree on every graph shape."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from pgain import Graph, backend, _pykernels
 from pgain.generate import barabasi_albert_edges, erdos_renyi_edges
 
-try:
-    from pgain import _ckernels
-except ImportError:
-    _ckernels = None
+KERNEL_SOURCE = Path(__file__).resolve().parents[1] / "src" / "pgain" / "_ckernels.c"
+
+
+@pytest.fixture(scope="module")
+def ckernels(tmp_path_factory):
+    """The compiled kernel: the built extension if it imports, else
+    ``_ckernels.c`` compiled into a temporary directory (nothing is written
+    into the checkout). Skips only when it cannot be compiled here."""
+    try:
+        from pgain import _ckernels
+        return _ckernels
+    except ImportError:
+        pass
+    setuptools = pytest.importorskip("setuptools")
+    from setuptools.command.build_ext import build_ext
+    from setuptools.errors import CompileError, LinkError, PlatformError
+
+    ext = setuptools.Extension("pgain._ckernels", [str(KERNEL_SOURCE)],
+                               extra_compile_args=["-O3"])
+    cmd = build_ext(setuptools.Distribution({"ext_modules": [ext]}))
+    cmd.build_lib = cmd.build_temp = str(tmp_path_factory.mktemp("ckernels"))
+    cmd.ensure_finalized()
+    try:
+        cmd.run()
+    except (CompileError, LinkError, PlatformError) as exc:
+        pytest.skip(f"cannot compile the kernel here: {exc}")
+    spec = importlib.util.spec_from_file_location(
+        ext.name, cmd.get_ext_fullpath(ext.name))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_kernel(kernel, g, x, scale):
@@ -31,15 +61,51 @@ def test_python_kernel_matches_graph_spmv(seed):
     np.testing.assert_allclose(got, g.spmv(x, scale=1.7), rtol=1e-12, atol=1e-14)
 
 
-@pytest.mark.skipif(_ckernels is None, reason="compiled kernels not built")
 @pytest.mark.parametrize("seed", range(4))
-def test_backends_agree(seed):
+def test_backends_agree(ckernels, seed):
     g = Graph.from_edges(barabasi_albert_edges(60, 2, seed=seed))
     rng = np.random.default_rng(100 + seed)
     x = rng.standard_normal(g.node_count)
-    fast = run_kernel(_ckernels.spmv_csr, g, x, 0.31)
+    fast = run_kernel(ckernels.spmv_csr, g, x, 0.31)
     slow = run_kernel(_pykernels.spmv_csr, g, x, 0.31)
     np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("edges", [
+    barabasi_albert_edges(300, 3, seed=2),
+    erdos_renyi_edges(200, 0.05, seed=3),
+    [(0, 2), (0, 3), (1, 1), (2, 3), (4, 4)],  # nodes 1 and 4 have no edges
+], ids=["ba", "er", "empty-rows"])
+def test_compiled_kernel_sums_rows_in_order(ckernels, edges):
+    g = Graph.from_edges(edges)
+    x = np.random.default_rng(7).standard_normal(g.node_count)
+    expected = np.empty(g.node_count)
+    for i in range(g.node_count):
+        acc = 0.0
+        for j in g.indices[g.indptr[i]:g.indptr[i + 1]]:
+            acc += float(x[j])
+        expected[i] = 0.37 * acc
+    assert np.array_equal(run_kernel(ckernels.spmv_csr, g, x, 0.37), expected)
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("bad", [
+    lambda g, x, out: (g.indptr.astype(np.int32), g.indices, x, out),
+    lambda g, x, out: (g.indptr, g.indices.astype(np.float64), x, out),
+    lambda g, x, out: (g.indptr, g.indices, np.repeat(x, 2)[::2], out),
+    lambda g, x, out: (g.indptr, g.indices, x, _read_only(out)),
+    lambda g, x, out: (g.indptr, g.indices, x[:-1], out),
+], ids=["int32-indptr", "float64-indices", "strided-x", "read-only-out",
+         "short-x"])
+def test_compiled_kernel_rejects_bad_calls(ckernels, bad):
+    g = Graph.from_edges(barabasi_albert_edges(50, 2, seed=1))
+    indptr, indices, x, out = bad(g, np.ones(g.node_count), np.empty(g.node_count))
+    with pytest.raises((ValueError, BufferError)):
+        ckernels.spmv_csr(indptr, indices, x, 1.0, out)
 
 
 def test_python_kernel_empty_rows():

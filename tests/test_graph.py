@@ -187,6 +187,21 @@ class TestConstructorValidation:
         with pytest.raises(ParameterError, match="label count"):
             csr_graph(n_labels=3)
 
+    @pytest.mark.parametrize("field, array", [
+        ("indptr", np.array(VALID_INDPTR, dtype=np.float64)),
+        ("indptr", np.array(VALID_INDPTR, dtype=np.int32)),
+        ("indices", np.array(VALID_INDICES, dtype=np.int32)),
+        ("indices", np.repeat(np.array(VALID_INDICES, dtype=np.int64), 2)[::2]),
+    ], ids=["float-indptr", "int32-indptr", "int32-indices", "strided-indices"])
+    def test_not_contiguous_int64(self, field, array):
+        # the compiled kernel accepts only this layout; the numpy one would
+        # take the others, so Graph() rejects them for both
+        arrays = {"indptr": np.array(VALID_INDPTR, dtype=np.int64),
+                  "indices": np.array(VALID_INDICES, dtype=np.int64)}
+        arrays[field] = array
+        with pytest.raises(ParameterError, match="contiguous 1-d int64"):
+            Graph(**arrays, labels=("0", "1", "2", "3"))
+
 
 def g_has_all_star_edges(s4):
     return all(s4.has_edge(0, leaf) and s4.has_edge(leaf, 0) for leaf in range(1, 5))
