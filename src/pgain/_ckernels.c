@@ -1,7 +1,7 @@
 /* Compiled CSR kernel. Signatures mirror pgain._pykernels.
  *
  * Arguments are read through the buffer protocol, so building this needs a
- * C compiler and the Python headers only (no Cython, no numpy C API). Each
+ * C compiler and the Python headers only, not numpy's C API. Each
  * buffer's type and shape is checked; the CSR structure is trusted, since
  * Graph() has validated it. */
 #define PY_SSIZE_T_CLEAN

@@ -3,8 +3,8 @@
 The compiled kernel, ``_ckernels`` (plain C built from ``_ckernels.c`` by
 ``setup.py``), is used when importable. Set PGAIN_BACKEND to ``python`` to
 force the numpy fallback, or ``cython`` to fail loudly when the extension is
-missing (default ``auto``). ``cython`` is the name the compiled kernel had
-when it was a Cython module; ``BACKEND`` and the benchmark records keep it.
+missing (default ``auto``). ``BACKEND`` and the benchmark records name the
+compiled kernel ``cython``, after the toolchain that used to build it.
 """
 
 import os
