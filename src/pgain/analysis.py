@@ -1,9 +1,11 @@
 """Spearman rank correlation and the decay sweep.
 
 ``delta_sweep`` costs one Lanczos solve (lambda1 and the EC column), one
-PageRank, one EPG and a single multi-decay GPG series pass, whose SpMV
-count is that of the largest delta_star alone. Every vector is ranked once
-and each Spearman coefficient is computed from the ranks.
+PageRank, one EPG and one two-pass Lanczos Katz solve for every grid value
+at once (``spectral._katz_solve``), whose step count is set by the largest
+delta_star alone, plus one SpMV per grid value for GPG = A Katz. Every
+vector is ranked once and each Spearman coefficient is computed from the
+ranks.
 """
 
 from __future__ import annotations
@@ -15,12 +17,7 @@ import numpy as np
 
 from pgain import baselines, spectral
 from pgain.errors import ParameterError, UndefinedCorrelationError
-from pgain.gain import (
-    GainParams,
-    _converged,
-    _run_series,
-    exponential_potential_gain,
-)
+from pgain.gain import GainParams, exponential_potential_gain
 from pgain.graph import Graph
 
 DEFAULT_GRID = tuple(np.linspace(0.1, 0.9, 9))
@@ -85,7 +82,10 @@ def _rho_from_ranks(rx: np.ndarray, ry: np.ndarray) -> float:
 class SweepResult:
     """Correlations of the geometric gain against the other metrics, per
     normalized decay value. ``converged`` is False when the lambda1 solve,
-    PageRank, EPG or the GPG series at any grid value stopped at its cap."""
+    PageRank or EPG stopped at its cap, or when the Katz solve at some grid
+    value has no certified error ||r|| / (1 - delta_star) within
+    ``tolerance * ||Katz||`` (r = 1 - (I - delta A) Katz, its true
+    residual)."""
 
     delta_star_grid: np.ndarray
     rho: dict  # column name -> array aligned with the grid (NaN = undefined)
@@ -115,9 +115,9 @@ def delta_sweep(
     """Correlate GPG (and Katz) against the fixed baselines across the grid.
 
     One Lanczos solve gives lambda1 (unless supplied) and the EC column.
-    Every grid GPG comes from one series pass, which costs about the SpMVs
-    of the largest delta_star alone. The Katz column is 1 + delta * GPG,
-    the identity Katz = 1 + delta A Katz, rather than a separate solve.
+    Every grid GPG comes from one shifted Lanczos solve (``_grid_gpg``),
+    which costs about twice the steps of the largest delta_star alone. The
+    Katz column is 1 + delta * GPG, the identity Katz = 1 + delta A Katz.
     Each vector is ranked once.
     """
     grid = np.asarray(DEFAULT_GRID if grid is None else grid, dtype=np.float64)
@@ -139,16 +139,12 @@ def delta_sweep(
         "pr": average_ranks(pr.scores),
         "epg": average_ranks(epg.scores),
     }
-    series = _run_series(
-        g, "geometric", g.spmv(np.ones(g.node_count)), deltas,
-        GainParams(tolerance=tolerance),
-    )
     converged = spectrum.converged and pr.converged and epg.converged
     rho = {c: np.full(grid.size, np.nan) for c in SWEEP_COLUMNS}
-    for row, (star, delta, (gpg, terms, reason)) in enumerate(
-        zip(grid, deltas, series)
+    for row, (star, delta, (gpg, _, certified)) in enumerate(
+        zip(grid, deltas, _grid_gpg(g, deltas, lam, tolerance))
     ):
-        converged &= _converged("geometric gain", terms, reason)
+        converged &= certified
         gpg_ranks = average_ranks(gpg)
         ranks = dict(fixed_ranks, katz=average_ranks(1.0 + delta * gpg))
         for column in SWEEP_COLUMNS:
@@ -158,3 +154,27 @@ def delta_sweep(
                 if warn is not None:
                     warn(f"delta_star={star:g} rho_{column}: {exc}")
     return SweepResult(grid, rho, alpha, lam, converged)
+
+
+def _grid_gpg(g, deltas, lambda1, tol):
+    """GPG = A Katz at every decay, from one ``spectral._katz_solve``.
+
+    Returns one ``(gpg, steps, certified)`` per decay. The product A x also
+    gives the true residual r = 1 - x + delta A x of (I - delta A) x = 1
+    for free, and ||x - Katz|| <= ||r|| / (1 - delta lambda1): ``certified``
+    says that this bound is at most ``tol * ||x||``. Each GPG takes over
+    the buffer of a Katz vector that is no longer needed, so this holds no
+    more n-vectors than the solve.
+    """
+    katz, steps = spectral._katz_solve(g, deltas, lambda1, tol)
+    spare, residual = np.empty(g.node_count), np.empty(g.node_count)
+    results = []
+    for x, delta, m in zip(katz, deltas, steps):
+        gpg = g.spmv(x, out=spare)
+        np.multiply(gpg, delta, out=residual)
+        residual -= x
+        residual += 1.0
+        bound = np.linalg.norm(residual) / (1.0 - delta * lambda1)
+        results.append((gpg, m, bool(bound <= tol * np.linalg.norm(x))))
+        spare = x
+    return results

@@ -46,12 +46,12 @@ def katz_centrality(
     _check_iteration_args(tolerance, max_iter)
     params = GainParams(delta=delta, max_walk_length=max_iter + 1,
                         tolerance=tolerance)
-    lam_converged = True
+    lam, lam_converged = 0.0, True
     if g.edge_count > 0:
         lam, lam_converged = _lambda1(g, lambda1)
         params.resolve_delta(lam)  # rejects delta >= 1/lambda1
     katz = _walk_series(g, "katz", "geometric", params,
-                        {"delta": delta, "tolerance": tolerance})
+                        {"delta": delta, "tolerance": tolerance}, lam)
     return replace(katz, converged=katz.converged and lam_converged)
 
 
@@ -111,12 +111,13 @@ def communicability_vector(
                         {"tolerance": tolerance})
 
 
-def _walk_series(g, metric, kind, params, snapshot) -> CentralityVector:
+def _walk_series(g, metric, kind, params, snapshot,
+                 lambda1=None) -> CentralityVector:
     """The series engine from the ones vector. A series of k terms costs
     k - 1 SpMVs, which ``max_iter`` caps and ``iterations_used`` counts;
     ``converged`` means the tolerance rule stopped it."""
-    [(scores, terms, reason)] = _run_series(
-        g, kind, np.ones(g.node_count), (params.delta or 0.0,), params
+    scores, terms, reason = _run_series(
+        g, kind, np.ones(g.node_count), params.delta, params, lambda1
     )
     _converged(metric, terms, reason)  # raises when the series overflows
     return CentralityVector(

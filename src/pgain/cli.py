@@ -12,8 +12,8 @@ an iteration cap, or a series overflowed float64).
 
 ``compute`` runs one Lanczos solve, for lambda1 and the ``ec`` column
 together, and only when ``ec``, ``katz`` or ``gpg`` is wanted (otherwise
-the summary prints ``lambda1=nan``). Katz is 1 + delta * GPG from the one
-GPG series.
+the summary prints ``lambda1=nan``); without ``ec`` it skips the
+eigenvector replay. Katz is 1 + delta * GPG from the one GPG series.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     spectral.add_argument("input")
     spectral.add_argument("--tol", type=float, default=1e-10)
     spectral.add_argument("--max-iter", type=int, default=10_000,
-                          help="cap on the SpMVs of both Lanczos passes")
+                          help="cap on the SpMVs of the Lanczos solve")
     spectral.set_defaults(handler=_cmd_spectral)
     return parser
 
@@ -161,7 +161,7 @@ def _cmd_compute(args) -> int:
         rules = [(DEFAULT_TOL, DEFAULT_MAX_ITER)]
         if "ec" in wanted:
             rules.append((args.tol, max_iter))
-        estimates = lanczos(graph, rules)
+        estimates = lanczos(graph, rules, eigenvectors="ec" in wanted)
     lam = estimates[0].lambda1 if estimates else math.nan
     if uses_lambda1 and not estimates[0].converged:
         print("pgain: warning: the lambda1 solve stopped at its iteration"
@@ -329,7 +329,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_spectral(args) -> int:
     graph = parse_edge_list(args.input)
-    [estimate] = lanczos(graph, [(args.tol, args.max_iter)])
+    [estimate] = lanczos(graph, [(args.tol, args.max_iter)], eigenvectors=False)
     print(
         f"lambda1={estimate.lambda1:.17g} residual={estimate.residual:.6g}"
         f" iterations={estimate.iterations} converged={estimate.converged}"

@@ -8,20 +8,22 @@ matrix-vector product per term:
 * exponential: sum over k >= 1 of A^k 1 / (k-1)!; term recurrence
   t_k = A t_(k-1) / (k-1) with t_1 = A 1 (no decay parameter).
 
-The series stops at ``max_walk_length`` terms or once the latest term's
-relative L2 contribution drops below ``tolerance``, whichever comes first.
+The series stops at ``max_walk_length`` terms or once its tail is below
+``tolerance`` relative to the sum, whichever comes first. For the geometric
+kind the tail after a term is at most term * q / (1 - q), q = delta
+lambda1; for the exponential kind the rule compares the latest term alone.
 Norms are rescaled when their squares overflow, and a series whose sum
 overflows float64 raises ``SeriesOverflowError`` instead of running on.
 
 One loop, ``_run_series``, evaluates every walk series in the package.
 Each is a first term and a term ratio: GPG starts at A 1 with ratio delta,
 EPG at A 1 with ratio 1/(k-1), and the baselines Katz and communicability
-start at 1 with the same two ratios (GPG = A Katz, EPG = A exp(A) 1). The
-geometric terms A^k 1 do not depend on delta, so the same pass can carry
-several decays at once (the delta_star sweep): the terms are computed for
-the largest delta and rescaled into one accumulator per decay, each with
-its own stop rule. GPG is also (Katz - 1) / delta, so one series at delta
-also gives Katz as 1 + delta * GPG.
+start at 1 with the same two ratios (GPG = A Katz, EPG = A exp(A) 1). GPG
+is also (Katz - 1) / delta, so one series at delta also gives Katz as
+1 + delta * GPG. The delta_star sweep does not use the series: it solves
+the Katz system for its whole grid by shifted Lanczos
+(``spectral._katz_solve``), whose step count depends on delta_star alone
+where the series needs about log(tolerance) / log(delta_star) terms.
 """
 
 from __future__ import annotations
@@ -115,8 +117,8 @@ def geometric_potential_gain(
     params = params or GainParams()
     lam, lam_converged = _lambda1(g, lambda1)
     delta = params.resolve_delta(lam)
-    [(scores, iterations, reason)] = _run_series(
-        g, "geometric", g.spmv(np.ones(g.node_count)), (delta,), params
+    scores, iterations, reason = _run_series(
+        g, "geometric", g.spmv(np.ones(g.node_count)), delta, params, lam
     )
     return CentralityVector(
         scores=scores,
@@ -134,8 +136,8 @@ def exponential_potential_gain(
 ) -> CentralityVector:
     """Exponential potential gain of every node (parameter-free decay)."""
     params = params or GainParams()
-    [(scores, iterations, reason)] = _run_series(
-        g, "exponential", g.spmv(np.ones(g.node_count)), (0.0,), params
+    scores, iterations, reason = _run_series(
+        g, "exponential", g.spmv(np.ones(g.node_count)), None, params
     )
     return CentralityVector(
         scores=scores,
@@ -190,8 +192,8 @@ def gain_with_trace(
         ref_kind = "dense-oracle"
     else:
         long_params = replace(params, max_walk_length=None, tolerance=1e-15)
-        [(reference, terms, reason)] = _run_series(
-            g, kind, g.spmv(np.ones(g.node_count)), (delta,), long_params
+        reference, terms, reason = _run_series(
+            g, kind, g.spmv(np.ones(g.node_count)), delta, long_params, lam
         )
         _converged(f"{kind} gain", terms, reason)  # raises on overflow
         ref_kind = "long-run"
@@ -205,8 +207,8 @@ def gain_with_trace(
         else:
             errors.append((k, _norm(reference - acc) / ref_norm))
 
-    [(scores, iterations, reason)] = _run_series(
-        g, kind, g.spmv(np.ones(g.node_count)), (delta,), params, record
+    scores, iterations, reason = _run_series(
+        g, kind, g.spmv(np.ones(g.node_count)), delta, params, lam, record
     )
     snapshot = params.snapshot(delta=None, delta_star=None)
     if kind == "geometric":
@@ -229,78 +231,72 @@ def gain_with_trace(
     return vector, trace
 
 
-def _run_series(g, kind, first, deltas, params, per_term=None):
+def _run_series(g, kind, first, delta, params, lambda1=None, per_term=None):
     """The one truncated-series loop, shared by every walk-series computation.
 
     ``first`` is the series' first term: A 1 for the gains, the ones vector
     for Katz and communicability. The loop overwrites it (it becomes one of
-    the two term buffers). Term k + 1 is A times term k, scaled by the
-    largest decay (``kind="geometric"``) or by 1/k (``"exponential"``).
-    Returns one ``(scores, terms_used, stop_reason)`` per entry of
-    ``deltas``; the reason is ``"tolerance"``, ``"max_k"`` (the caller's
+    the two term buffers). Term k + 1 is A times term k, scaled by
+    ``delta`` (``kind="geometric"``) or by 1/k (``"exponential"``, which
+    ignores ``delta`` and ``lambda1``). Returns ``(scores, terms_used,
+    stop_reason)``; the reason is ``"tolerance"``, ``"max_k"`` (the caller's
     walk-length cap), ``"safety_cap"`` (``SAFETY_MAX_TERMS``) or
-    ``"nonfinite"``. The walk terms A^k 1 do not depend on the decay, so
-    one pass serves several geometric decays: it computes the terms scaled
-    by the largest decay and adds (delta_j / delta_max)^(k-1) times each
-    term into accumulator j. Each accumulator stops on its own relative
-    term norm and is then frozen; the pass ends when every one has
-    stopped. An accumulator that is no longer finite (the series overflows
-    float64) stops at once with reason ``"nonfinite"``. With a single decay
-    the arithmetic is exactly the single-series recurrence. The
-    exponential kind takes ``deltas=(0.0,)``. ``per_term(k, acc)`` sees
-    the first accumulator after every term.
+    ``"nonfinite"``. The geometric rule bounds the tail: ||A y|| <=
+    lambda1 ||y||, so the terms after one of norm t sum to at most
+    t q / (1 - q), q = delta ``lambda1``, and the series stops once that is
+    below ``tolerance`` times the sum's norm (q = 1/2 gives the plain rule
+    t < tolerance * norm). The exponential rule compares t itself. A sum
+    that is no longer finite (the series overflows float64) stops at once
+    with reason ``"nonfinite"``. ``per_term(k, acc)`` sees the sum after
+    every term.
     """
     if not first.any():  # every later term is zero too: the sum is exact
         if per_term is not None:
             per_term(1, first)
-        return [(first.copy(), 1, "tolerance") for _ in deltas]
+        return first.copy(), 1, "tolerance"
 
-    top = max(deltas)
-    ratios = [d / top if kind == "geometric" else 1.0 for d in deltas]
     term = first
-    accs = [term.copy() for _ in deltas]
+    acc = term.copy()
     spare = np.empty_like(term)  # ping-pong buffer: no allocation per term
     k = 1
     max_term_norm = 0.0
     if per_term is not None:
-        per_term(k, accs[0])
+        per_term(k, acc)
 
-    limit = params.max_walk_length or SAFETY_MAX_TERMS
-    stopped = [None] * len(deltas)  # (terms_used, reason) once frozen
-    active = list(range(len(deltas)))
-    # an overflow is caught by the accumulator's norm, so numpy need not warn
+    # the stop rule as term_norm < limit * acc_norm, so the tail factor
+    # costs nothing per term
+    limit = params.tolerance
+    if kind == "geometric" and limit is not None:
+        q = delta * lambda1
+        limit = limit * (1.0 - q) / q if q > 0 else math.inf
+    max_terms = params.max_walk_length or SAFETY_MAX_TERMS
+    reason = None
+    # an overflow is caught by the sum's norm, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        while active and k < limit:
-            scale = top if kind == "geometric" else 1.0 / k
+        while reason is None and k < max_terms:
+            scale = delta if kind == "geometric" else 1.0 / k
             g.spmv(term, scale=scale, out=spare)
             term, spare = spare, term
             term_norm = _norm(term)
             k += 1
             max_term_norm = max(max_term_norm, term_norm)
-            for j in active:
-                coef = ratios[j] ** (k - 1)  # 1.0 exactly for the largest decay
-                accs[j] += term if coef == 1.0 else coef * term
-                acc_norm = _norm(accs[j])
-                if not math.isfinite(acc_norm):
-                    stopped[j] = (k, "nonfinite")
-                elif params.tolerance is not None and coef * term_norm < (
-                    params.tolerance * acc_norm
-                ):
-                    stopped[j] = (k, "tolerance")
+            acc += term
+            acc_norm = _norm(acc)
+            if not math.isfinite(acc_norm):
+                reason = "nonfinite"
+            elif limit is not None and term_norm < limit * acc_norm:
+                reason = "tolerance"
             if per_term is not None:
-                per_term(k, accs[0])
-            active = [j for j in active if stopped[j] is None]
-    cap = "max_k" if params.max_walk_length is not None else "safety_cap"
-    for j in active:
-        stopped[j] = (k, cap)
-    overflowed = any(reason == "nonfinite" for _, reason in stopped)
-    if max_term_norm > TERM_NORM_WARN and not overflowed:  # callers raise then
+                per_term(k, acc)
+    if reason is None:
+        reason = "max_k" if params.max_walk_length is not None else "safety_cap"
+    if max_term_norm > TERM_NORM_WARN and reason != "nonfinite":  # callers raise then
         warnings.warn(
             f"{kind} series: intermediate term norm reached {max_term_norm:.3g}; "
             "scores may lose precision",
             RuntimeWarning,
         )
-    return [(acc, *stop) for acc, stop in zip(accs, stopped)]
+    return acc, k, reason
 
 
 def _converged(label: str, terms: int, reason: str) -> bool:
@@ -335,5 +331,5 @@ def _lambda1(g: Graph, lambda1: float | None) -> tuple[float, bool]:
         raise ParameterError("empty graph")
     if g.edge_count == 0:
         return 0.0, True
-    [estimate] = spectral.lanczos(g)
+    [estimate] = spectral.lanczos(g, eigenvectors=False)
     return estimate.lambda1, estimate.converged

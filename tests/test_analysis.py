@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -5,21 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgain import (
-    GainParams,
     Graph,
     ParameterError,
     UndefinedCorrelationError,
     delta_sweep,
     exponential_potential_gain,
-    geometric_potential_gain,
     lanczos,
     pagerank,
     spearman_rho,
 )
-from pgain.analysis import SWEEP_COLUMNS, average_ranks
-from pgain.generate import ring_edges
+from pgain import oracle
+from pgain.analysis import DEFAULT_GRID, SWEEP_COLUMNS, _grid_gpg, average_ranks
+from pgain.generate import complete_edges, ring_edges, star_edges
+from pgain.spectral import _katz_solve
 
-from conftest import ba_graph
+from conftest import ba_graph, rel_err
 
 
 class TestSpearman:
@@ -112,13 +114,20 @@ class TestDeltaSweep:
         assert len(lines) == 3
 
     def test_one_series_pass_and_one_power_iteration(self, monkeypatch):
+        # one Lanczos solve for lambda1 and EC, PageRank, EPG, then one
+        # two-pass Katz solve of m steps for the whole grid (2m - 1 SpMVs)
+        # and one SpMV per grid value for GPG = A Katz
         g = ba_graph(300, 3, seed=3)
         grid = [0.1, 0.5, 0.9]
+        spectrum = lanczos(g)[0]
+        _, steps = _katz_solve(
+            g, [s / spectrum.lambda1 for s in grid], spectrum.lambda1, 1e-12)
         expected = (
-            lanczos(g)[0].iterations
+            spectrum.iterations
             + pagerank(g).iterations_used
             + exponential_potential_gain(g).iterations_used
-            + geometric_potential_gain(g, GainParams(delta_star=0.9)).iterations_used
+            + 2 * max(steps) - 1
+            + len(grid)
         )
         calls = []
         spmv = Graph.spmv
@@ -134,3 +143,77 @@ class TestDeltaSweep:
             delta_sweep(star_plus_tail, grid=[0.5, 0.2])
         with pytest.raises(ParameterError):
             delta_sweep(star_plus_tail, grid=[0.0, 0.5])
+
+
+def two_cliques():
+    """K_4 and K_3 side by side: two components with different lambda1."""
+    k3 = [(a + 4, b + 4) for a, b in complete_edges(3)]
+    return Graph.from_edges(complete_edges(4) + k3)
+
+
+class TestGridSolve:
+    """The sweep's GPG at every grid value from one shifted Lanczos solve."""
+
+    @pytest.mark.parametrize("make", [
+        lambda request: request.getfixturevalue("k3"),
+        lambda request: request.getfixturevalue("p2"),
+        lambda request: request.getfixturevalue("s4"),
+        lambda request: request.getfixturevalue("c4"),
+        lambda request: request.getfixturevalue("path4"),
+        lambda request: request.getfixturevalue("star_plus_tail"),
+        lambda request: Graph.from_edges(ring_edges(6)),
+        lambda request: Graph.from_edges(star_edges(7)),
+        lambda request: two_cliques(),
+    ], ids=["k3", "p2", "s4", "c4", "path4", "star_plus_tail", "c6", "s7",
+            "k4+k3"])
+    def test_every_grid_value_matches_the_oracle(self, make, request):
+        g = make(request)
+        lam = oracle.oracle_lambda1(g)
+        grid = list(DEFAULT_GRID) + [0.99]
+        deltas = [star / lam for star in grid]
+        for delta, (gpg, _, certified) in zip(
+            deltas, _grid_gpg(g, deltas, lam, 1e-12)
+        ):
+            assert certified
+            reference = oracle.oracle_gain(g, "geometric", delta=delta)
+            assert rel_err(gpg, reference) <= 1e-12, delta
+
+    def test_edgeless_graph_is_exact_after_one_step(self):
+        # beta_1 = 0: the uniform vector spans an invariant subspace
+        g = Graph.from_edges([(0, 0), (1, 1), (2, 2)])
+        katz, steps = _katz_solve(g, [0.1, 0.5, 0.9], 0.0, 1e-12)
+        assert steps == [1, 1, 1]
+        for x in katz:
+            np.testing.assert_array_equal(x, np.ones(3))
+        for gpg, _, certified in _grid_gpg(g, [0.1, 0.5, 0.9], 0.0, 1e-12):
+            assert certified and not gpg.any()
+
+    def test_slow_decay_on_a_path_meets_the_cg_bound(self):
+        # I - delta A on P_1000 at delta_star = 0.99 has spectrum inside
+        # [0.01, 1.99], kappa = 199; CG, which this solve equals in exact
+        # arithmetic, has ||r_m|| <= 2 sqrt(kappa) rho^m ||r_0||, with
+        # rho = (sqrt(kappa) - 1) / (sqrt(kappa) + 1) and ||r_0|| = sqrt(n).
+        # The uniform start's Krylov space has dimension n / 2 = 500 here,
+        # so the bound (251 steps), not exhaustion, ends the solve
+        n, star, tol = 1000, 0.99, 1e-12
+        g = Graph.from_edges([(i, i + 1) for i in range(n - 1)])
+        lam = 2 * math.cos(math.pi / (n + 1))
+        [(gpg, steps, certified)] = _grid_gpg(g, [star / lam], lam, tol)
+        assert certified
+        root = math.sqrt((1 + star) / (1 - star))
+        rho = (root - 1) / (root + 1)
+        # the stop rule wants ||r_m|| / (1 - star) <= tol sqrt(n)
+        bound = math.log(2 * root / ((1 - star) * tol)) / math.log(1 / rho)
+        assert steps <= math.ceil(bound), (steps, bound)
+        adjacency = np.eye(n, k=1) + np.eye(n, k=-1)
+        katz = np.linalg.solve(np.eye(n) - star / lam * adjacency, np.ones(n))
+        assert rel_err(1 + star / lam * gpg, katz) <= 1e-12
+
+    def test_lambda1_far_below_the_truth_raises(self):
+        # delta = delta_star / lambda1 then exceeds 1/lambda1: a pivot of
+        # I - delta T_m turns non-positive and the sweep must not return
+        # finite scores
+        g = ba_graph(300, 3, seed=3)
+        lam = lanczos(g)[0].lambda1
+        with pytest.raises(ParameterError, match="not positive definite"):
+            delta_sweep(g, grid=[0.5, 0.9], lambda1=lam / 4)

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pgain import Graph, backend, _pykernels
+from pgain import Graph, backend, delta_sweep, _pykernels
+from pgain.analysis import SWEEP_COLUMNS
 from pgain.generate import barabasi_albert_edges, erdos_renyi_edges
 
 KERNEL_SOURCE = Path(__file__).resolve().parents[1] / "src" / "pgain" / "_ckernels.c"
@@ -69,6 +70,20 @@ def test_backends_agree(ckernels, seed):
     fast = run_kernel(ckernels.spmv_csr, g, x, 0.31)
     slow = run_kernel(_pykernels.spmv_csr, g, x, 0.31)
     np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-14)
+
+
+def test_backends_agree_on_delta_sweep(ckernels, monkeypatch):
+    # the whole sweep, Lanczos and Katz solves included, on each kernel
+    g = Graph.from_edges(barabasi_albert_edges(2000, 3, seed=1))
+    results = []
+    for kernel in (ckernels.spmv_csr, _pykernels.spmv_csr):
+        monkeypatch.setattr(backend, "spmv_csr", kernel)
+        results.append(delta_sweep(g))
+    fast, slow = results
+    assert fast.converged and slow.converged
+    for column in SWEEP_COLUMNS:
+        np.testing.assert_allclose(fast.rho[column], slow.rho[column],
+                                   rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("edges", [

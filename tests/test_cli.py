@@ -212,8 +212,9 @@ class TestComputeSharedWork:
     def test_gpg_alone_skips_the_ec_rule(self, ba_file, tmp_path, monkeypatch):
         # a tight --tol would lengthen an EC rule, not the lambda1 rule
         g = parse_edge_list(ba_file)
-        expected = (lanczos(g)[0].iterations + geometric_potential_gain(
-            g, GainParams(tolerance=1e-14)).iterations_used)
+        expected = (lanczos(g, eigenvectors=False)[0].iterations
+                    + geometric_potential_gain(
+                        g, GainParams(tolerance=1e-14)).iterations_used)
         calls = count_spmv(monkeypatch)
         assert main(["compute", "--metric", "gpg", "--tol", "1e-14",
                      "--out", str(tmp_path), str(ba_file)]) == 0
@@ -400,6 +401,17 @@ class TestSpectral:
         out = capsys.readouterr().out
         assert "lambda1=2" in out
         assert "converged=True" in out
+
+    def test_skips_the_eigenvector_replay(self, ba_file, capsys, monkeypatch):
+        g = parse_edge_list(ba_file)
+        full = lanczos(g)[0]
+        calls = count_spmv(monkeypatch)
+        assert main(["spectral", str(ba_file)]) == 0
+        out = capsys.readouterr().out
+        # pass 1 alone: m steps where the replay would make it 2m - 1
+        assert f"lambda1={full.lambda1:.17g} " in out
+        assert f" iterations={len(calls)} " in out
+        assert len(calls) == (full.iterations + 1) // 2
 
 
 class TestRuntime:

@@ -286,3 +286,39 @@ class TestPowerIterationRules:
         assert np.array_equal(v.scores, ec.scores)
         assert (v.metric, v.params, v.iterations_used, v.converged) == (
             ec.metric, ec.params, ec.iterations_used, ec.converged)
+
+
+class TestLambda1Only:
+    """``eigenvectors=False`` skips the final replay: the same lambda1 from
+    pass 1 alone, with only the SpMVs actually spent counted and capped."""
+
+    @pytest.mark.parametrize(
+        "g", [ba_graph(300, 3, seed=11), path_graph(30), path_graph(500)],
+        ids=["ba", "path30", "path500-restarts"],
+    )
+    def test_same_lambda1_for_the_pass_1_steps(self, g, monkeypatch):
+        rules = [(1e-10, 10_000), (1e-6, 10_000)]
+        full = lanczos(g, rules)
+        calls = count_spmv(monkeypatch)
+        cheap = lanczos(g, rules, eigenvectors=False)
+        for est, ref in zip(cheap, full):
+            assert (est.lambda1, est.residual, est.converged) == (
+                ref.lambda1, ref.residual, ref.converged)
+            assert est.eigenvector is None
+            # a cycle of m steps costs 2m - 1 SpMVs with its replay, m without
+            cycles, m = divmod(ref.iterations, 2 * 64 - 1)
+            assert est.iterations == cycles * (2 * 64 - 1) + (m + 1) // 2
+        assert len(calls) == max(est.iterations for est in cheap)
+
+    @pytest.mark.parametrize("cap, spent", [
+        (63, 63), (64, 64), (127, 64), (128, 128), (129, 129), (191, 191),
+        (254, 191), (255, 255),
+    ])
+    def test_cap_is_strict_across_restarts(self, cap, spent, monkeypatch):
+        # step m of a cycle costs one SpMV; a restart still replays the
+        # cycle's 63 SpMVs for its start vector
+        g = path_graph(500)
+        calls = count_spmv(monkeypatch)
+        [est] = lanczos(g, [(1e-10, cap)], eigenvectors=False)
+        assert not est.converged
+        assert est.iterations == len(calls) == spent
