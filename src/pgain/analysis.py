@@ -116,9 +116,10 @@ def delta_sweep(
 
     One Lanczos solve gives lambda1 (unless supplied) and the EC column.
     Every grid GPG comes from one shifted Lanczos solve (``_grid_gpg``),
-    which costs about twice the steps of the largest delta_star alone. The
-    Katz column is 1 + delta * GPG, the identity Katz = 1 + delta A Katz.
-    Each vector is ranked once.
+    which costs about twice the steps of the largest delta_star alone.
+    Katz = 1 + delta * GPG (the identity Katz = 1 + delta A Katz) is
+    strictly increasing in GPG, so the Katz column takes GPG's ranks: it is
+    1, or undefined where GPG is constant. Each vector is ranked once.
     """
     grid = np.asarray(DEFAULT_GRID if grid is None else grid, dtype=np.float64)
     if grid.size == 0 or np.any(grid <= 0) or np.any(grid >= 1):
@@ -141,12 +142,12 @@ def delta_sweep(
     }
     converged = spectrum.converged and pr.converged and epg.converged
     rho = {c: np.full(grid.size, np.nan) for c in SWEEP_COLUMNS}
-    for row, (star, delta, (gpg, _, certified)) in enumerate(
-        zip(grid, deltas, _grid_gpg(g, deltas, lam, tolerance))
+    for row, (star, (gpg, _, certified)) in enumerate(
+        zip(grid, _grid_gpg(g, deltas, lam, tolerance))
     ):
         converged &= certified
         gpg_ranks = average_ranks(gpg)
-        ranks = dict(fixed_ranks, katz=average_ranks(1.0 + delta * gpg))
+        ranks = dict(fixed_ranks, katz=gpg_ranks)
         for column in SWEEP_COLUMNS:
             try:
                 rho[column][row] = _rho_from_ranks(gpg_ranks, ranks[column])

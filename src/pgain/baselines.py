@@ -11,6 +11,7 @@ SpMV on a degree-scaled vector).
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -131,7 +132,8 @@ def _walk_series(g, metric, kind, params, snapshot,
 
 
 def _check_iteration_args(tolerance: float, max_iter: int) -> None:
-    if tolerance <= 0:
-        raise ParameterError("tolerance must be positive")
+    if not 0 < tolerance < math.inf:
+        raise ParameterError(
+            f"tolerance must be finite and positive, got {tolerance}")
     if max_iter < 1:
         raise ParameterError("max_iter must be at least 1")

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from pgain import analysis, baselines, generate
-from pgain.errors import PgainError, SeriesOverflowError
+from pgain.errors import ParameterError, PgainError, SeriesOverflowError
 from pgain.gain import (
     GainParams,
     exponential_potential_gain,
@@ -146,8 +146,7 @@ def _summary(graph: Graph, lam: float, vector: CentralityVector,
 def _cmd_compute(args) -> int:
     graph = parse_edge_list(args.input)
     if graph.node_count == 0:
-        print("pgain: error: empty graph", file=sys.stderr)
-        return EXIT_PARAMS
+        raise ParameterError("empty graph")
     wanted = METRICS if args.metric == "all" else (args.metric,)
     max_iter = args.max_k if args.max_k is not None else 10_000
     out_dir = Path(args.out)
@@ -282,6 +281,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_convergence(args) -> int:
     graph = parse_edge_list(args.input)
+    if graph.node_count == 0:
+        raise ParameterError("empty graph")
     kind = "geometric" if args.metric == "gpg" else "exponential"
     vector, trace = gain_with_trace(graph, _gain_params(args), kind=kind)
     if args.format == "csv":
@@ -290,7 +291,6 @@ def _cmd_convergence(args) -> int:
         payload = {
             "metric": trace.metric,
             "params": _jsonable(trace.params),
-            "reference": trace.reference,
             "points": [[k, eps] for k, eps in trace.errors],
         }
         _emit(args.out, json.dumps(payload, indent=2) + "\n")

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from pgain import oracle, spectral
+from pgain import spectral
 from pgain.errors import ParameterError, SeriesOverflowError
 from pgain.graph import Graph
 from pgain.vectors import CentralityVector, ConvergenceTrace
@@ -76,8 +76,10 @@ class GainParams:
             raise ParameterError("need max_walk_length or tolerance (or both)")
         if self.max_walk_length is not None and self.max_walk_length < 1:
             raise ParameterError("max_walk_length must be at least 1")
-        if self.tolerance is not None and self.tolerance <= 0:
-            raise ParameterError("tolerance must be positive")
+        if self.tolerance is not None and not 0 < self.tolerance < math.inf:
+            raise ParameterError(
+                f"tolerance must be finite and positive, got {self.tolerance}"
+            )
 
     def resolve_delta(self, lambda1: float) -> float:
         """Concrete delta, validated against 1/lambda1."""
@@ -114,39 +116,14 @@ def geometric_potential_gain(
     is needed to resolve delta_star and to validate delta); the result is
     then converged only if that estimate is.
     """
-    params = params or GainParams()
-    lam, lam_converged = _lambda1(g, lambda1)
-    delta = params.resolve_delta(lam)
-    scores, iterations, reason = _run_series(
-        g, "geometric", g.spmv(np.ones(g.node_count)), delta, params, lam
-    )
-    return CentralityVector(
-        scores=scores,
-        metric="gpg",
-        params=params.snapshot(delta=delta, delta_star=delta * lam, lambda1=lam),
-        iterations_used=iterations,
-        converged=_converged("geometric gain", iterations, reason)
-        and lam_converged,
-        stop_reason=reason,
-    )
+    return _gain(g, "geometric", params or GainParams(), *_lambda1(g, lambda1))
 
 
 def exponential_potential_gain(
     g: Graph, params: GainParams | None = None
 ) -> CentralityVector:
     """Exponential potential gain of every node (parameter-free decay)."""
-    params = params or GainParams()
-    scores, iterations, reason = _run_series(
-        g, "exponential", g.spmv(np.ones(g.node_count)), None, params
-    )
-    return CentralityVector(
-        scores=scores,
-        metric="epg",
-        params=params.snapshot(delta=None, delta_star=None),
-        iterations_used=iterations,
-        converged=_converged("exponential gain", iterations, reason),
-        stop_reason=reason,
-    )
+    return _gain(g, "exponential", params or GainParams())
 
 
 def crossover_delta(lam: float) -> float:
@@ -169,34 +146,19 @@ def gain_with_trace(
     kind: str = "geometric",
     lambda1: float | None = None,
 ) -> tuple[CentralityVector, ConvergenceTrace]:
-    """Gain plus the per-k relative error against a converged reference.
+    """Gain plus the per-k relative error against a converged reference,
+    the same series run to a relative term contribution of 1e-15.
 
-    The reference is the dense oracle when n <= 64, otherwise the same
-    series run to a relative term contribution of 1e-15. A geometric gain
-    whose lambda1 was estimated here is converged only if that estimate is.
+    A geometric gain whose lambda1 was estimated here is converged only if
+    that estimate is.
     """
     if kind not in ("geometric", "exponential"):
         raise ParameterError(f"unknown gain kind {kind!r}")
     params = params or GainParams()
-    lam, lam_converged = lambda1, True
-    if kind == "geometric":
-        lam, lam_converged = _lambda1(g, lambda1)
-        delta = params.resolve_delta(lam)
-    else:
-        delta = 0.0
-
-    if g.node_count <= oracle.SIZE_GUARD:
-        reference = oracle.oracle_gain(
-            g, kind, delta=delta if kind == "geometric" else None
-        )
-        ref_kind = "dense-oracle"
-    else:
-        long_params = replace(params, max_walk_length=None, tolerance=1e-15)
-        reference, terms, reason = _run_series(
-            g, kind, g.spmv(np.ones(g.node_count)), delta, long_params, lam
-        )
-        _converged(f"{kind} gain", terms, reason)  # raises on overflow
-        ref_kind = "long-run"
+    lam, lam_converged = (_lambda1(g, lambda1) if kind == "geometric"
+                          else (None, True))
+    long_params = replace(params, max_walk_length=None, tolerance=1e-15)
+    reference = _gain(g, kind, long_params, lam).scores
     ref_norm = _norm(reference)
 
     errors: list[tuple[int, float]] = []
@@ -207,28 +169,37 @@ def gain_with_trace(
         else:
             errors.append((k, _norm(reference - acc) / ref_norm))
 
-    scores, iterations, reason = _run_series(
-        g, kind, g.spmv(np.ones(g.node_count)), delta, params, lam, record
+    vector = _gain(g, kind, params, lam, lam_converged, record)
+    trace = ConvergenceTrace(
+        metric=vector.metric, errors=tuple(errors), params=dict(vector.params)
     )
-    snapshot = params.snapshot(delta=None, delta_star=None)
+    return vector, trace
+
+
+def _gain(g, kind, params, lambda1=None, lambda1_converged=True,
+          per_term=None) -> CentralityVector:
+    """One gain series from A 1, as a vector: ``"geometric"`` resolves its
+    decay against ``lambda1`` and is converged only if ``lambda1_converged``
+    is too; ``"exponential"`` ignores both. ``per_term`` goes to
+    ``_run_series``. A series that overflows raises."""
+    delta, snapshot = None, params.snapshot(delta=None, delta_star=None)
     if kind == "geometric":
-        snapshot.update(delta=delta, delta_star=delta * lam, lambda1=lam)
-    vector = CentralityVector(
+        delta = params.resolve_delta(lambda1)
+        snapshot.update(delta=delta, delta_star=delta * lambda1,
+                        lambda1=lambda1)
+    scores, iterations, reason = _run_series(
+        g, kind, g.spmv(np.ones(g.node_count)), delta, params, lambda1,
+        per_term
+    )
+    return CentralityVector(
         scores=scores,
         metric="gpg" if kind == "geometric" else "epg",
         params=snapshot,
         iterations_used=iterations,
         converged=_converged(f"{kind} gain", iterations, reason)
-        and lam_converged,
+        and lambda1_converged,
         stop_reason=reason,
     )
-    trace = ConvergenceTrace(
-        metric=vector.metric,
-        errors=tuple(errors),
-        params=dict(snapshot),
-        reference=ref_kind,
-    )
-    return vector, trace
 
 
 def _run_series(g, kind, first, delta, params, lambda1=None, per_term=None):

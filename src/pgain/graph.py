@@ -11,9 +11,8 @@ finds the first two tokens of each line block by block, packs them into
 uint64 words, groups equal labels by a hash checked word by word, and numbers
 them by first occurrence. A file it cannot take exactly (non-ASCII or control
 bytes, a lone CR, a line with one token, a hash collision, a label over 64
-bytes, custom comment prefixes, a kept self-loop, or a path that is not a
-regular file) goes through the line reader, which streams and iterables
-always use; both give the same graph.
+bytes, or a path that is not a regular file) goes through the line reader,
+which streams and iterables always use; both give the same graph.
 The CSR arrays come from sorting packed ``lo * n + hi`` edge keys.
 """
 
@@ -150,17 +149,8 @@ class Graph:
         d.flags.writeable = False
         return d
 
-    @cached_property
-    def label_index(self) -> dict[str, int]:
-        return {lab: i for i, lab in enumerate(self.labels)}
-
     def neighbors(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
-
-    def has_edge(self, i: int, j: int) -> bool:
-        row = self.neighbors(i)
-        pos = np.searchsorted(row, j)
-        return pos < row.size and row[pos] == j
 
     # -- numerics -----------------------------------------------------------
 
@@ -191,38 +181,6 @@ class Graph:
         backend.spmv_csr(self.indptr, self.indices, x, scale, out)
         return out
 
-    # -- serialization ------------------------------------------------------
-
-    def canonical_edges(self) -> Iterator[tuple[int, int]]:
-        """Edges as (i, j) internal pairs with i < j, ascending."""
-        for i in range(self.node_count):
-            for j in self.neighbors(i):
-                if i < j:
-                    yield i, int(j)
-
-    def to_edge_list_text(self) -> str:
-        """Canonical edge list: one line per edge, external labels, ordered
-        by the sorted internal pairs. Re-parsing yields an equal labeled
-        graph (``equals_labeled``); internal numbering need not survive,
-        since re-parsing assigns indices in first-seen order."""
-        labels = self.labels
-        return "".join(f"{labels[i]} {labels[j]}\n" for i, j in self.canonical_edges())
-
-    def equals_labeled(self, other: "Graph") -> bool:
-        """Same labeled graph: equal label sets and equal edge sets."""
-        if (
-            self.node_count != other.node_count
-            or self.edge_count != other.edge_count
-            or set(self.labels) != set(other.labels)
-        ):
-            return False
-        theirs = other.label_index
-        labels = self.labels
-        for i, j in self.canonical_edges():
-            if not other.has_edge(theirs[labels[i]], theirs[labels[j]]):
-                return False
-        return True
-
 
 def _check_rows(indptr: np.ndarray, indices: np.ndarray, first: int) -> None:
     """No self-loop and strictly ascending neighbours in the rows that
@@ -247,46 +205,41 @@ def _intern(index: dict, token: str) -> int:
     return i
 
 
-def parse_edge_list(
-    source: str | Path | TextIO | Iterable[str],
-    comment_prefixes: tuple[str, ...] = COMMENT_PREFIXES,
-    drop_self_loops: bool = True,
-) -> Graph:
+def parse_edge_list(source: str | Path | TextIO | Iterable[str]) -> Graph:
     """Parse a whitespace-separated edge list into a Graph.
 
     ``source`` may be a path or an open text stream / iterable of lines. Each
     non-comment, non-blank line must hold at least two tokens (the endpoints);
     trailing fields such as weights or timestamps are ignored. Blank lines are
-    skipped. Empty input yields the empty graph. With ``drop_self_loops``
-    (default) loop lines are dropped and counted; otherwise a loop is a parse
-    error. Endpoints of dropped loops still register their node.
+    skipped. Empty input yields the empty graph. Loop lines are dropped and
+    counted; their endpoint still registers its node.
 
     A path is first read by the vectorised ASCII reader; whatever it cannot
     take exactly goes through the line reader, which gives the same graph
     and reports errors with their line numbers.
     """
     if not isinstance(source, (str, Path)):
-        return _parse_lines(source, comment_prefixes, drop_self_loops)
+        return _parse_lines(source)
     # a pipe cannot be read a second time by the line reader
-    if comment_prefixes == COMMENT_PREFIXES and os.path.isfile(source):
-        graph = _parse_ascii_file(source, drop_self_loops)
+    if os.path.isfile(source):
+        graph = _parse_ascii_file(source)
         if graph is not None:
             return graph
     try:
         with open(source, "r", encoding="utf-8") as handle:
-            return _parse_lines(handle, comment_prefixes, drop_self_loops)
+            return _parse_lines(handle)
     except UnicodeDecodeError:
         raise _utf8_error(Path(source).read_bytes()) from None
 
 
-def _parse_lines(lines, comment_prefixes, drop_self_loops) -> Graph:
+def _parse_lines(lines) -> Graph:
     index: dict[str, int] = {}
     us: list[int] = []
     vs: list[int] = []
     loops = 0
     for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith(comment_prefixes):
+        if not stripped or stripped.startswith(COMMENT_PREFIXES):
             continue
         tokens = stripped.split()
         if len(tokens) < 2:
@@ -296,8 +249,6 @@ def _parse_lines(lines, comment_prefixes, drop_self_loops) -> Graph:
         ia = _intern(index, tokens[0])
         ib = _intern(index, tokens[1])
         if ia == ib:
-            if not drop_self_loops:
-                raise ParseError(f"self-loop {tokens[0]!r}", line_no=line_no)
             loops += 1
             continue
         us.append(ia)
@@ -341,7 +292,7 @@ _PAD = 8 * _MAX_WORDS  # zero bytes after each block, so word reads stay inside
 _LOW_BYTES = np.array([(1 << (8 * r)) - 1 for r in range(9)], dtype=np.uint64)
 
 
-def _parse_ascii_file(path, drop_self_loops: bool) -> Graph | None:
+def _parse_ascii_file(path) -> Graph | None:
     with open(path, "rb") as handle:
         columns = _read_endpoint_words(handle)
     if columns is None:
@@ -367,8 +318,6 @@ def _parse_ascii_file(path, drop_self_loops: bool) -> Graph | None:
     us, vs = ids[0::2], ids[1::2]
     loop = us == vs
     loops = int(np.count_nonzero(loop))
-    if loops and not drop_self_loops:
-        return None
     if loops:
         us, vs = us[~loop], vs[~loop]
     del ids, loop

@@ -75,8 +75,8 @@ def lanczos(
     the largest spectral radius.
     """
     for tol, max_iter in rules:
-        if tol <= 0:
-            raise ParameterError("tol must be positive")
+        if not 0 < tol < math.inf:
+            raise ParameterError(f"tol must be finite and positive, got {tol}")
         if max_iter < 1:
             raise ParameterError("max_iter must be at least 1")
     n = g.node_count

@@ -364,6 +364,46 @@ class TestConvergence:
         assert lines[0] == "k,epsilon"
         assert float(lines[-1].split(",")[1]) < 1e-10
 
+    def test_json_format(self, k3_file, tmp_path):
+        out = tmp_path / "conv.json"
+        assert main(["convergence", "--metric", "epg", "--max-k", "5",
+                     "--format", "json", "--out", str(out), str(k3_file)]) == 0
+        payload = json.loads(out.read_text())
+        assert set(payload) == {"metric", "params", "points"}
+        assert [k for k, _ in payload["points"]] == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("command", [
+    ["compute", "--metric", "gpg"],
+    ["convergence", "--metric", "gpg"],
+    ["convergence", "--metric", "epg"],
+], ids=lambda c: "-".join(a.lstrip("-") for a in c))
+def test_empty_file_is_parameter_error(tmp_path, capsys, command):
+    path = tmp_path / "empty.txt"
+    path.write_text("")
+    assert main([*command, str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "pgain: error: empty graph\n"
+    assert not (tmp_path / "out").is_file()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+@pytest.mark.parametrize("command", [
+    ["compute", "--metric", "gpg"],
+    ["compute", "--metric", "katz"],
+    ["compute", "--metric", "all"],
+    ["sweep"],
+    ["convergence", "--metric", "gpg"],
+    ["convergence", "--metric", "epg"],
+    ["spectral"],
+], ids=lambda c: "-".join(a.lstrip("-") for a in c))
+def test_non_finite_tol_is_parameter_error(k3_file, tmp_path, capsys,
+                                           command, tol):
+    args = [*command, "--tol", tol, str(k3_file)]
+    if command[0] != "spectral":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    assert "pgain: error:" in capsys.readouterr().err
+
 
 class TestGenerate:
     def test_complete_three_edges(self, capsys):

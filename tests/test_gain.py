@@ -103,15 +103,13 @@ class TestTraces:
     def test_error_floor_at_reference_length(self):
         g = er_graph(30, 0.2, seed=1)
         _, trace = gain_with_trace(g, GainParams(tolerance=1e-13), kind="geometric")
-        assert trace.reference == "dense-oracle"
         assert trace.errors[-1][1] <= 1e-12
 
     def test_long_run_reference_above_size_guard(self):
         g = ba_graph(80, 2, seed=4)
         params = GainParams(delta_star=0.5, max_walk_length=10, tolerance=None)
         _, trace = gain_with_trace(g, params, kind="geometric")
-        assert trace.reference == "long-run"
-        eps = trace.epsilons
+        eps = np.array([e for _, e in trace.errors])
         assert np.all(eps[:-1] > 0)
         assert np.all(np.diff(eps[2:]) < 0)  # eventually strictly decreasing
 
@@ -241,6 +239,17 @@ class TestParameterValidation:
     def test_need_some_stop_rule(self):
         with pytest.raises(ParameterError):
             GainParams(tolerance=None)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerance_rejected(self, k3, tol):
+        # NaN would never stop a series, inf would stop every one after
+        # its second term
+        with pytest.raises(ParameterError, match="finite and positive"):
+            GainParams(tolerance=tol)
+        with pytest.raises(ParameterError, match="finite and positive"):
+            katz_centrality(k3, 0.25, tolerance=tol)
+        with pytest.raises(ParameterError, match="finite and positive"):
+            lanczos(k3, [(tol, 100)])
 
     def test_max_walk_length_binds(self, k3):
         v = geometric_potential_gain(
