@@ -17,7 +17,7 @@ import numpy as np
 
 from pgain import baselines, spectral
 from pgain.errors import ParameterError, UndefinedCorrelationError
-from pgain.gain import GainParams, exponential_potential_gain
+from pgain.gain import DEFAULT_TOLERANCE, GainParams, exponential_potential_gain
 from pgain.graph import Graph
 
 DEFAULT_GRID = tuple(np.linspace(0.1, 0.9, 9))
@@ -107,14 +107,13 @@ class SweepResult:
 def delta_sweep(
     g: Graph,
     grid: Sequence[float] | None = None,
-    alpha: float = 0.85,
-    tolerance: float = 1e-12,
-    lambda1: float | None = None,
+    alpha: float = baselines.DEFAULT_ALPHA,
+    tolerance: float = DEFAULT_TOLERANCE,
     warn: Callable[[str], None] | None = None,
 ) -> SweepResult:
     """Correlate GPG (and Katz) against the fixed baselines across the grid.
 
-    One Lanczos solve gives lambda1 (unless supplied) and the EC column.
+    One Lanczos solve gives lambda1 and the EC column.
     Every grid GPG comes from one shifted Lanczos solve (``_grid_gpg``),
     which costs about twice the steps of the largest delta_star alone.
     Katz = 1 + delta * GPG (the identity Katz = 1 + delta A Katz) is
@@ -127,7 +126,7 @@ def delta_sweep(
     if np.any(np.diff(grid) <= 0):
         raise ParameterError("grid must be strictly ascending")
     [spectrum] = spectral.lanczos(g)
-    lam = spectrum.lambda1 if lambda1 is None else lambda1
+    lam = spectrum.lambda1
     deltas = [
         GainParams(delta_star=float(star)).resolve_delta(lam) for star in grid
     ]

@@ -1,28 +1,28 @@
 """Comparison centralities: degree, Katz, PageRank, communicability.
 
-Katz, (I - delta A)^(-1) 1 = sum over k >= 0 of delta^k A^k 1, and
-communicability, exp(A) 1 = sum over k >= 0 of A^k 1 / k!, are the gain
-series started at the ones vector instead of A 1, so they run on the same
-engine, ``gain._run_series``, with its stop rules and overflow check.
-PageRank is the usual damped power iteration on the row-normalized
-adjacency (transposed product, so undirected graphs reuse the symmetric
-SpMV on a degree-scaled vector).
+Katz, (I - delta A)^(-1) 1, is 1 + delta * GPG at the same delta (GPG =
+A Katz), so it comes from the geometric gain series (``gain._katz``), the
+same computation as ``pgain compute``'s Katz column. Communicability,
+exp(A) 1 = sum over k >= 0 of A^k 1 / k!, is the exponential series
+started at the ones vector instead of A 1, so it runs on the same engine,
+``gain._run_series``, with its stop rules and overflow check. PageRank is
+the usual damped power iteration on the row-normalized adjacency
+(transposed product, so undirected graphs reuse the symmetric SpMV on a
+degree-scaled vector).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import replace
-
 import numpy as np
 
 from pgain.errors import ParameterError
-from pgain.gain import GainParams, _converged, _lambda1, _run_series
+from pgain.gain import (DEFAULT_TOLERANCE, GainParams, _converged, _gain,
+                        _katz, _lambda1, _run_series)
 from pgain.graph import Graph
+from pgain.spectral import DEFAULT_MAX_ITER
 from pgain.vectors import CentralityVector
 
-DEFAULT_TOLERANCE = 1e-12
-DEFAULT_MAX_ITER = 10_000
+DEFAULT_ALPHA = 0.85
 
 
 def degree_centrality(g: Graph) -> CentralityVector:
@@ -38,27 +38,26 @@ def katz_centrality(
     max_iter: int = DEFAULT_MAX_ITER,
     lambda1: float | None = None,
 ) -> CentralityVector:
-    """(I - delta A)^(-1) 1 as the walk series sum of delta^k A^k 1.
+    """(I - delta A)^(-1) 1 as 1 + delta * GPG, scores >= 1 everywhere.
 
-    Requires delta in (0, 1/lambda1); lambda1 is estimated when not given,
-    and the result is then converged only if that estimate is. Scores are
-    >= 1 everywhere (the series starts at the identity term).
+    Requires delta in (0, 1/lambda1); lambda1 is estimated when not given.
+    The GPG series stops once its tail bound is below ``tolerance`` times
+    its sum, or after ``max_iter`` terms. ``iterations_used`` counts its
+    SpMVs (one per term, at most ``max_iter``), and ``converged`` means the
+    tolerance rule stopped it and the lambda1 estimate, if made here,
+    converged.
     """
-    _check_iteration_args(tolerance, max_iter)
-    params = GainParams(delta=delta, max_walk_length=max_iter + 1,
+    params = GainParams(delta=delta, max_walk_length=max_iter,
                         tolerance=tolerance)
     lam, lam_converged = 0.0, True
     if g.edge_count > 0:
         lam, lam_converged = _lambda1(g, lambda1)
-        params.resolve_delta(lam)  # rejects delta >= 1/lambda1
-    katz = _walk_series(g, "katz", "geometric", params,
-                        {"delta": delta, "tolerance": tolerance}, lam)
-    return replace(katz, converged=katz.converged and lam_converged)
+    return _katz(_gain(g, "geometric", params, lam, lam_converged))
 
 
 def pagerank(
     g: Graph,
-    alpha: float = 0.85,
+    alpha: float = DEFAULT_ALPHA,
     tolerance: float = DEFAULT_TOLERANCE,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> CentralityVector:
@@ -66,9 +65,7 @@ def pagerank(
 
     Degree-0 nodes (possible only via dropped self-loops) teleport uniformly.
     """
-    _check_iteration_args(tolerance, max_iter)
-    if not 0 < alpha < 1:
-        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_args(tolerance, max_iter, alpha)
     n = g.node_count
     if n == 0:
         return CentralityVector(np.zeros(0), "pr", {"alpha": alpha})
@@ -105,35 +102,31 @@ def communicability_vector(
     tolerance: float = DEFAULT_TOLERANCE,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> CentralityVector:
-    """exp(A) 1 as the walk series sum of A^k 1 / k!."""
-    _check_iteration_args(tolerance, max_iter)
+    """exp(A) 1 as the walk series sum of A^k 1 / k!, from the ones vector.
+
+    A series of k terms costs k - 1 SpMVs, which ``max_iter`` caps and
+    ``iterations_used`` counts; ``converged`` means the tolerance rule
+    stopped it. A series that overflows raises.
+    """
+    _check_args(tolerance, max_iter)
     params = GainParams(max_walk_length=max_iter + 1, tolerance=tolerance)
-    return _walk_series(g, "communicability", "exponential", params,
-                        {"tolerance": tolerance})
-
-
-def _walk_series(g, metric, kind, params, snapshot,
-                 lambda1=None) -> CentralityVector:
-    """The series engine from the ones vector. A series of k terms costs
-    k - 1 SpMVs, which ``max_iter`` caps and ``iterations_used`` counts;
-    ``converged`` means the tolerance rule stopped it."""
     scores, terms, reason = _run_series(
-        g, kind, np.ones(g.node_count), params.delta, params, lambda1
-    )
-    _converged(metric, terms, reason)  # raises when the series overflows
+        g, "exponential", np.ones(g.node_count), None, params)
+    _converged("communicability", terms, reason)  # raises on overflow
     return CentralityVector(
         scores=scores,
-        metric=metric,
-        params=snapshot,
+        metric="communicability",
+        params={"tolerance": tolerance},
         iterations_used=terms - 1,
         converged=reason == "tolerance",
         stop_reason=reason,
     )
 
 
-def _check_iteration_args(tolerance: float, max_iter: int) -> None:
-    if not 0 < tolerance < math.inf:
-        raise ParameterError(
-            f"tolerance must be finite and positive, got {tolerance}")
-    if max_iter < 1:
-        raise ParameterError("max_iter must be at least 1")
+def _check_args(tolerance: float, max_iter: int,
+                alpha: float = DEFAULT_ALPHA) -> None:
+    """Raise ``ParameterError`` for a tolerance or iteration cap that
+    ``GainParams`` rejects, or a PageRank alpha outside (0, 1)."""
+    GainParams(max_walk_length=max_iter, tolerance=tolerance)
+    if not 0 < alpha < 1:
+        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")

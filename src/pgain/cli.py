@@ -28,9 +28,12 @@ from pathlib import Path
 import numpy as np
 
 from pgain import analysis, baselines, generate
+from pgain.baselines import DEFAULT_ALPHA
 from pgain.errors import ParameterError, PgainError, SeriesOverflowError
 from pgain.gain import (
+    DEFAULT_TOLERANCE,
     GainParams,
+    _katz,
     exponential_potential_gain,
     gain_with_trace,
     geometric_potential_gain,
@@ -78,9 +81,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="metric to compute ('all' writes one file per metric)",
     )
     _add_delta_args(compute)
-    compute.add_argument("--alpha", type=float, default=0.85,
+    compute.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
                          help="PageRank damping factor")
-    compute.add_argument("--tol", type=float, default=1e-12)
+    compute.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
     compute.add_argument("--max-k", type=int, default=None,
                          help="walk-length / iteration cap")
     compute.add_argument("--out", default=".",
@@ -92,8 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("input")
     sweep.add_argument("--grid", default=None,
                        help="comma-separated delta_star values (default 0.1..0.9)")
-    sweep.add_argument("--alpha", type=float, default=0.85)
-    sweep.add_argument("--tol", type=float, default=1e-12)
+    sweep.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    sweep.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
     sweep.add_argument("--out", default=None, help="output file (default stdout)")
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep.set_defaults(handler=_cmd_sweep)
@@ -102,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     conv.add_argument("input")
     conv.add_argument("--metric", choices=("gpg", "epg"), required=True)
     _add_delta_args(conv)
-    conv.add_argument("--tol", type=float, default=1e-12)
+    conv.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
     conv.add_argument("--max-k", type=int, default=None)
     conv.add_argument("--out", default=None, help="output file (default stdout)")
     conv.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -118,8 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     spectral = sub.add_parser("spectral", help="estimate lambda1")
     spectral.add_argument("input")
-    spectral.add_argument("--tol", type=float, default=1e-10)
-    spectral.add_argument("--max-iter", type=int, default=10_000,
+    spectral.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    spectral.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
                           help="cap on the SpMVs of the Lanczos solve")
     spectral.set_defaults(handler=_cmd_spectral)
     return parser
@@ -144,11 +147,14 @@ def _summary(graph: Graph, lam: float, vector: CentralityVector,
 
 
 def _cmd_compute(args) -> int:
+    # every parameter is checked, whether or not a wanted metric reads it
+    params = _gain_params(args)
+    max_iter = args.max_k if args.max_k is not None else DEFAULT_MAX_ITER
+    baselines._check_args(args.tol, max_iter, args.alpha)
     graph = parse_edge_list(args.input)
     if graph.node_count == 0:
         raise ParameterError("empty graph")
     wanted = METRICS if args.metric == "all" else (args.metric,)
-    max_iter = args.max_k if args.max_k is not None else 10_000
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     all_converged = True
@@ -171,13 +177,17 @@ def _cmd_compute(args) -> int:
         start = time.perf_counter()
         if metric in ("katz", "gpg"):
             if gpg is None:  # one series at delta gives both
-                gpg = geometric_potential_gain(graph, _gain_params(args),
-                                               lambda1=lam)
-            vector = gpg if metric == "gpg" else _katz_from_gpg(gpg, args.tol)
+                gpg = geometric_potential_gain(graph, params, lambda1=lam)
+            vector = gpg if metric == "gpg" else _katz(gpg)
         elif metric == "ec":
             vector = estimates[1].centrality(args.tol)
+        elif metric == "epg":
+            vector = exponential_potential_gain(graph, params)
+        elif metric == "pr":
+            vector = baselines.pagerank(graph, alpha=args.alpha,
+                                        tolerance=args.tol, max_iter=max_iter)
         else:
-            vector = _compute_metric(graph, metric, args, max_iter)
+            vector = baselines.degree_centrality(graph)
         wall = time.perf_counter() - start
         _summary(graph, lam, vector, wall)
         all_converged &= vector.converged
@@ -186,34 +196,9 @@ def _cmd_compute(args) -> int:
     return EXIT_OK if all_converged else EXIT_NOT_CONVERGED
 
 
-def _compute_metric(graph, metric, args, max_iter) -> CentralityVector:
-    if metric == "deg":
-        return baselines.degree_centrality(graph)
-    if metric == "pr":
-        return baselines.pagerank(graph, alpha=args.alpha, tolerance=args.tol,
-                                  max_iter=max_iter)
-    if metric == "epg":
-        return exponential_potential_gain(graph, _gain_params(args))
-    raise PgainError(f"unknown metric {metric!r}")
-
-
 def _gain_params(args) -> GainParams:
     return GainParams(delta=args.delta, delta_star=args.delta_star,
                       max_walk_length=args.max_k, tolerance=args.tol)
-
-
-def _katz_from_gpg(gpg: CentralityVector, tol: float) -> CentralityVector:
-    """Katz = 1 + delta * GPG. It counts as converged only when the
-    tolerance rule stopped the series, not when ``--max-k`` cut it off."""
-    delta = gpg.params["delta"]
-    return CentralityVector(
-        scores=1.0 + delta * gpg.scores,
-        metric="katz",
-        params={"delta": delta, "tolerance": tol},
-        iterations_used=gpg.iterations_used,
-        converged=gpg.stop_reason == "tolerance",
-        stop_reason=gpg.stop_reason,
-    )
 
 
 def _write_scores(path: Path, graph: Graph, vector: CentralityVector,

@@ -17,13 +17,14 @@ overflows float64 raises ``SeriesOverflowError`` instead of running on.
 
 One loop, ``_run_series``, evaluates every walk series in the package.
 Each is a first term and a term ratio: GPG starts at A 1 with ratio delta,
-EPG at A 1 with ratio 1/(k-1), and the baselines Katz and communicability
-start at 1 with the same two ratios (GPG = A Katz, EPG = A exp(A) 1). GPG
-is also (Katz - 1) / delta, so one series at delta also gives Katz as
-1 + delta * GPG. The delta_star sweep does not use the series: it solves
-the Katz system for its whole grid by shifted Lanczos
-(``spectral._katz_solve``), whose step count depends on delta_star alone
-where the series needs about log(tolerance) / log(delta_star) terms.
+EPG at A 1 with ratio 1/(k-1), and the communicability baseline at 1 with
+ratio 1/k (EPG = A exp(A) 1). Katz has no series of its own: GPG = A Katz
+and Katz = 1 + delta A Katz give Katz = 1 + delta * GPG (``_katz``), for
+the CLI and ``baselines.katz_centrality`` alike. The delta_star sweep does
+not use the series: it solves the Katz system for its whole grid by
+shifted Lanczos (``spectral._katz_solve``), whose step count depends on
+delta_star alone where the series needs about log(tolerance) /
+log(delta_star) terms.
 """
 
 from __future__ import annotations
@@ -202,11 +203,26 @@ def _gain(g, kind, params, lambda1=None, lambda1_converged=True,
     )
 
 
+def _katz(gpg: CentralityVector) -> CentralityVector:
+    """Katz = 1 + delta * GPG, from a geometric gain. It is converged only
+    when the GPG is and its tolerance rule stopped the series, not a
+    walk-length cap; it reports the GPG's SpMV count."""
+    delta = gpg.params["delta"]
+    return CentralityVector(
+        scores=1.0 + delta * gpg.scores,
+        metric="katz",
+        params={"delta": delta, "tolerance": gpg.params["tolerance"]},
+        iterations_used=gpg.iterations_used,
+        converged=gpg.converged and gpg.stop_reason == "tolerance",
+        stop_reason=gpg.stop_reason,
+    )
+
+
 def _run_series(g, kind, first, delta, params, lambda1=None, per_term=None):
     """The one truncated-series loop, shared by every walk-series computation.
 
     ``first`` is the series' first term: A 1 for the gains, the ones vector
-    for Katz and communicability. The loop overwrites it (it becomes one of
+    for communicability. The loop overwrites it (it becomes one of
     the two term buffers). Term k + 1 is A times term k, scaled by
     ``delta`` (``kind="geometric"``) or by 1/k (``"exponential"``, which
     ignores ``delta`` and ``lambda1``). Returns ``(scores, terms_used,

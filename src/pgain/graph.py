@@ -12,8 +12,10 @@ uint64 words, groups equal labels by a hash checked word by word, and numbers
 them by first occurrence. A file it cannot take exactly (non-ASCII or control
 bytes, a lone CR, a line with one token, a hash collision, a label over 64
 bytes, or a path that is not a regular file) goes through the line reader,
-which streams and iterables always use; both give the same graph.
-The CSR arrays come from sorting packed ``lo * n + hi`` edge keys.
+which streams and iterables always use: it hands each line's two endpoint
+tokens to ``Graph.from_edges``, so labels are interned in one place on
+that path. Both give the same graph. The CSR arrays come from sorting
+packed ``lo * n + hi`` edge keys.
 """
 
 from __future__ import annotations
@@ -91,8 +93,8 @@ class Graph:
         vs: list[int] = []
         loops = 0
         for a, b in pairs:
-            ia = _intern(index, str(a))
-            ib = _intern(index, str(b))
+            ia = index.setdefault(str(a), len(index))
+            ib = index.setdefault(str(b), len(index))
             if ia == ib:
                 loops += 1
                 continue
@@ -197,14 +199,6 @@ def _check_rows(indptr: np.ndarray, indices: np.ndarray, first: int) -> None:
         raise ParameterError("neighbor lists must be strictly ascending")
 
 
-def _intern(index: dict, token: str) -> int:
-    i = index.get(token)
-    if i is None:
-        i = len(index)
-        index[token] = i
-    return i
-
-
 def parse_edge_list(source: str | Path | TextIO | Iterable[str]) -> Graph:
     """Parse a whitespace-separated edge list into a Graph.
 
@@ -219,7 +213,7 @@ def parse_edge_list(source: str | Path | TextIO | Iterable[str]) -> Graph:
     and reports errors with their line numbers.
     """
     if not isinstance(source, (str, Path)):
-        return _parse_lines(source)
+        return Graph.from_edges(_parse_lines(source))
     # a pipe cannot be read a second time by the line reader
     if os.path.isfile(source):
         graph = _parse_ascii_file(source)
@@ -227,16 +221,14 @@ def parse_edge_list(source: str | Path | TextIO | Iterable[str]) -> Graph:
             return graph
     try:
         with open(source, "r", encoding="utf-8") as handle:
-            return _parse_lines(handle)
+            return Graph.from_edges(_parse_lines(handle))
     except UnicodeDecodeError:
         raise _utf8_error(Path(source).read_bytes()) from None
 
 
-def _parse_lines(lines) -> Graph:
-    index: dict[str, int] = {}
-    us: list[int] = []
-    vs: list[int] = []
-    loops = 0
+def _parse_lines(lines) -> Iterator[tuple[str, str]]:
+    """The two endpoint tokens of every data line; a data line with one
+    token raises ``ParseError`` with its line number."""
     for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith(COMMENT_PREFIXES):
@@ -246,19 +238,7 @@ def _parse_lines(lines) -> Graph:
             raise ParseError(
                 f"expected two node labels, got {stripped!r}", line_no=line_no
             )
-        ia = _intern(index, tokens[0])
-        ib = _intern(index, tokens[1])
-        if ia == ib:
-            loops += 1
-            continue
-        us.append(ia)
-        vs.append(ib)
-    return Graph._from_index_pairs(
-        np.asarray(us, dtype=np.int64),
-        np.asarray(vs, dtype=np.int64),
-        tuple(index),
-        self_loops_dropped=loops,
-    )
+        yield tokens[0], tokens[1]
 
 
 def _utf8_error(raw: bytes) -> ParseError:
@@ -281,7 +261,8 @@ def _utf8_error(raw: bytes) -> ParseError:
 # The file is read in blocks of whole lines. In each block numpy finds the
 # first two tokens of every line and packs each into little-endian uint64
 # words, zero-padded (a token never holds a NUL byte, so equal words mean
-# equal tokens). Across the file, tokens are sorted by a hash of their words,
+# equal tokens); the blocks' word columns are joined once at the end of the
+# file. Across the file, tokens are sorted by a hash of their words,
 # tokens with equal hashes are checked word by word to be equal, and the
 # groups are numbered in order of first occurrence. Anything the line reader
 # would treat differently makes the reader return None.
@@ -326,33 +307,21 @@ def _parse_ascii_file(path) -> Graph | None:
 
 def _read_endpoint_words(handle) -> list[np.ndarray] | None:
     """Word columns of every endpoint token in file order, or None when a
-    block needs the line reader. The columns are sized for the token count
-    the bytes read so far predict for the whole file (pages never written
-    cost no memory) and at least doubled when that falls short."""
-    total = os.fstat(handle.fileno()).st_size
-    columns: list[np.ndarray] = []
-    capacity = count = done = 0
+    block needs the line reader. Each block's columns are kept and joined
+    once at the end; a block whose tokens need fewer words gets zero
+    words in the columns it lacks."""
+    blocks = []
     for block in _line_blocks(handle):
-        done += block.size - 1 - _PAD
         words = _endpoint_words(block)
         if words is None:
             return None
-        end = count + (words[0].size if words else 0)
-        if end > capacity:
-            capacity = max(end, 2 * capacity, int(end * 1.05 * total / done))
-            columns = [_resized(column[:count], capacity) for column in columns]
-        while len(columns) < len(words):
-            columns.append(np.zeros(capacity, dtype=np.uint64))
-        for column, word in zip(columns, words):
-            column[count:end] = word
-        count = end
-    return [column[:count] for column in columns]
-
-
-def _resized(column: np.ndarray, capacity: int) -> np.ndarray:
-    out = np.zeros(capacity, dtype=np.uint64)
-    out[: column.size] = column
-    return out
+        if words:
+            blocks.append(words)
+    width = max(map(len, blocks), default=0)
+    return [np.concatenate([words[k] if k < len(words)
+                            else np.zeros(words[0].size, dtype=np.uint64)
+                            for words in blocks])
+            for k in range(width)]
 
 
 def _line_blocks(handle) -> Iterator[np.ndarray]:

@@ -196,7 +196,7 @@ def test_criterion_7_correlation_limits():
     assert spearman_rho(gpg_small.scores, deg) == 1.0
 
     grid = [0.01] + list(np.linspace(0.1, 0.9, 9)) + [0.99]
-    sweep = delta_sweep(g, grid=grid, lambda1=lam)
+    sweep = delta_sweep(g, grid=grid)
     assert np.all(sweep.rho["katz"] >= 0.999)
     assert sweep.rho["ec"][-1] >= 0.95
     _passed(7, "degree/Katz/eigenvector correlation limits on star-plus-tail")

@@ -211,9 +211,10 @@ class TestGridSolve:
 
     def test_lambda1_far_below_the_truth_raises(self):
         # delta = delta_star / lambda1 then exceeds 1/lambda1: a pivot of
-        # I - delta T_m turns non-positive and the sweep must not return
+        # I - delta T_m turns non-positive and the grid solve must not return
         # finite scores
         g = ba_graph(300, 3, seed=3)
         lam = lanczos(g)[0].lambda1
+        deltas = [4 * star / lam for star in (0.5, 0.9)]
         with pytest.raises(ParameterError, match="not positive definite"):
-            delta_sweep(g, grid=[0.5, 0.9], lambda1=lam / 4)
+            _grid_gpg(g, deltas, lam / 4, 1e-12)

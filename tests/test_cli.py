@@ -20,11 +20,9 @@ from pgain import (
     parse_edge_list,
 )
 from pgain import cli
-from pgain.cli import main
+from pgain.cli import METRICS, main
 from pgain.generate import barabasi_albert_edges, complete_edges, edges_to_text
 from pgain.vectors import CentralityVector
-
-from conftest import rel_err
 
 
 @pytest.fixture
@@ -141,6 +139,19 @@ class TestCompute:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("option", [
+        ["--tol", "nan"], ["--tol", "-1"], ["--max-k", "0"], ["--alpha", "2"],
+        ["--delta-star", "1.5"],
+    ], ids=lambda o: "".join(o).lstrip("-"))
+    def test_bad_parameter_is_rejected_whatever_the_metric(
+            self, k3_file, tmp_path, capsys, metric, option):
+        out = tmp_path / "out"
+        assert main(["compute", "--metric", metric, *option, "--out", str(out),
+                     str(k3_file)]) == 2
+        assert capsys.readouterr().err.startswith("pgain: error:")
+        assert not out.exists()
+
     def test_summary_on_stderr(self, k3_file, tmp_path, capsys):
         main(["compute", "--metric", "gpg", "--out", str(tmp_path), str(k3_file)])
         err = capsys.readouterr().err
@@ -247,7 +258,7 @@ class TestComputeSharedWork:
         lam = lanczos(g)[0].lambda1
         loop = katz_centrality(g, delta=0.5 / lam, lambda1=lam)
         scores = read_scores(tmp_path / "katz.csv")
-        assert rel_err([scores[label] for label in g.labels], loop.scores) <= 1e-12
+        assert np.array_equal([scores[label] for label in g.labels], loop.scores)
 
     def test_katz_truncated_by_max_k_exits_3(self, k3_file, tmp_path, capsys):
         assert main(["compute", "--metric", "katz", "--max-k", "2",

@@ -170,6 +170,15 @@ class TestIdentities:
         assert rel_err(gpg.scores, g.spmv(katz.scores)) <= 1e-8
 
     @pytest.mark.parametrize("seed", range(3))
+    def test_katz_is_one_plus_delta_gpg(self, seed):
+        g = er_graph(30, 0.2, seed)
+        lam = lanczos(g)[0].lambda1
+        delta = 0.5 / lam
+        gpg = geometric_potential_gain(g, GainParams(delta=delta), lambda1=lam)
+        katz = katz_centrality(g, delta, lambda1=lam)
+        assert np.array_equal(katz.scores, 1 + delta * gpg.scores)
+
+    @pytest.mark.parametrize("seed", range(3))
     def test_epg_is_adjacency_times_communicability(self, seed):
         g = ba_graph(30, 2, seed)
         epg = exponential_potential_gain(g, GainParams(tolerance=1e-14))
