@@ -47,6 +47,7 @@ def katz_centrality(
     tolerance rule stopped it and the lambda1 estimate, if made here,
     converged.
     """
+    _check_args(tolerance, max_iter)
     params = GainParams(delta=delta, max_walk_length=max_iter,
                         tolerance=tolerance)
     lam, lam_converged = 0.0, True
@@ -125,8 +126,10 @@ def communicability_vector(
 
 def _check_args(tolerance: float, max_iter: int,
                 alpha: float = DEFAULT_ALPHA) -> None:
-    """Raise ``ParameterError`` for a tolerance or iteration cap that
-    ``GainParams`` rejects, or a PageRank alpha outside (0, 1)."""
-    GainParams(max_walk_length=max_iter, tolerance=tolerance)
+    """Raise ``ParameterError`` for a tolerance that ``GainParams``
+    rejects, an iteration cap below 1 or a PageRank alpha outside (0, 1)."""
+    GainParams(tolerance=tolerance)
+    if max_iter < 1:
+        raise ParameterError("max_iter must be at least 1")
     if not 0 < alpha < 1:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
