@@ -1,11 +1,10 @@
 """Spearman rank correlation and the decay sweep.
 
-``delta_sweep`` costs one Lanczos solve (lambda1 and the EC column), one
-PageRank, one EPG and one two-pass Lanczos Katz solve for every grid value
-at once (``spectral._katz_solve``), whose step count is set by the largest
-delta_star alone, plus one SpMV per grid value for GPG = A Katz. Every
-vector is ranked once and each Spearman coefficient is computed from the
-ranks.
+``delta_sweep`` costs one Lanczos pass (``spectral._lanczos``) for lambda1,
+the EC column and the Katz vector of every grid value at once, whose step
+count is set by lambda1 or the largest delta_star, one PageRank, one EPG,
+and one SpMV per grid value for GPG = A Katz. Every vector is ranked once
+and each Spearman coefficient is computed from the ranks.
 """
 
 from __future__ import annotations
@@ -113,24 +112,23 @@ def delta_sweep(
 ) -> SweepResult:
     """Correlate GPG (and Katz) against the fixed baselines across the grid.
 
-    One Lanczos solve gives lambda1 and the EC column.
-    Every grid GPG comes from one shifted Lanczos solve (``_grid_gpg``),
-    which costs about twice the steps of the largest delta_star alone.
-    Katz = 1 + delta * GPG (the identity Katz = 1 + delta A Katz) is
-    strictly increasing in GPG, so the Katz column takes GPG's ranks: it is
-    1, or undefined where GPG is constant. Each vector is ranked once.
+    One Lanczos pass gives lambda1, the EC column and the Katz vector at
+    every delta = delta_star / lambda1, in about twice the steps of lambda1
+    or of the largest delta_star (more when lambda1 restarts).
+    GPG = A Katz (``_grid_gpg``). Katz = 1 + delta * GPG (the identity Katz
+    = 1 + delta A Katz) is strictly increasing in GPG, so the Katz column
+    takes GPG's ranks: it is 1, or undefined where GPG is constant. Each
+    vector is ranked once.
     """
-    grid = np.asarray(DEFAULT_GRID if grid is None else grid, dtype=np.float64)
-    if grid.size == 0 or np.any(grid <= 0) or np.any(grid >= 1):
-        raise ParameterError("grid values must lie strictly inside (0, 1)")
-    if np.any(np.diff(grid) <= 0):
-        raise ParameterError("grid must be strictly ascending")
-    [spectrum] = spectral.lanczos(g)
-    lam = spectrum.lambda1
-    deltas = [
-        GainParams(delta_star=float(star)).resolve_delta(lam) for star in grid
-    ]
+    grid = _check_sweep(grid, alpha, tolerance)
 
+    def decays(lam):
+        return [GainParams(delta_star=float(s)).resolve_delta(lam) for s in grid]
+
+    [spectrum], katz = spectral._lanczos(
+        g, [(spectral.DEFAULT_TOL, spectral.DEFAULT_MAX_ITER)], True, decays,
+        tolerance)
+    lam = spectrum.lambda1
     pr = baselines.pagerank(g, alpha=alpha, tolerance=tolerance)
     epg = exponential_potential_gain(g, GainParams(tolerance=tolerance))
     fixed_ranks = {
@@ -141,8 +139,8 @@ def delta_sweep(
     }
     converged = spectrum.converged and pr.converged and epg.converged
     rho = {c: np.full(grid.size, np.nan) for c in SWEEP_COLUMNS}
-    for row, (star, (gpg, _, certified)) in enumerate(
-        zip(grid, _grid_gpg(g, deltas, lam, tolerance))
+    for row, (star, (gpg, certified)) in enumerate(
+        zip(grid, _grid_gpg(g, katz, decays(lam), lam, tolerance))
     ):
         converged &= certified
         gpg_ranks = average_ranks(gpg)
@@ -156,25 +154,36 @@ def delta_sweep(
     return SweepResult(grid, rho, alpha, lam, converged)
 
 
-def _grid_gpg(g, deltas, lambda1, tol):
-    """GPG = A Katz at every decay, from one ``spectral._katz_solve``.
+def _check_sweep(grid, alpha, tolerance) -> np.ndarray:
+    """The grid (None for ``DEFAULT_GRID``) as an array, once it and
+    PageRank's tolerance and alpha have been checked."""
+    baselines._check_args(tolerance, spectral.DEFAULT_MAX_ITER, alpha)
+    grid = np.asarray(DEFAULT_GRID if grid is None else grid, dtype=np.float64)
+    if grid.size == 0 or np.any(grid <= 0) or np.any(grid >= 1):
+        raise ParameterError("grid values must lie strictly inside (0, 1)")
+    if np.any(np.diff(grid) <= 0):
+        raise ParameterError("grid must be strictly ascending")
+    return grid
 
-    Returns one ``(gpg, steps, certified)`` per decay. The product A x also
-    gives the true residual r = 1 - x + delta A x of (I - delta A) x = 1
-    for free, and ||x - Katz|| <= ||r|| / (1 - delta lambda1): ``certified``
-    says that this bound is at most ``tol * ||x||``. Each GPG takes over
-    the buffer of a Katz vector that is no longer needed, so this holds no
-    more n-vectors than the solve.
+
+def _grid_gpg(g, katz, deltas, lambda1, tol):
+    """GPG = A x for each Katz vector x in ``katz``, at its decay.
+
+    Returns one ``(gpg, certified)`` per decay. The product A x also gives
+    the true residual r = 1 - x + delta A x of (I - delta A) x = 1 for free,
+    and ||x - Katz|| <= ||r|| / (1 - delta lambda1): ``certified`` says
+    that this bound is at most ``tol * ||x||``. Each GPG takes over the
+    buffer of a Katz vector that is no longer needed, so ``katz`` is
+    overwritten and only two n-vectors are added.
     """
-    katz, steps = spectral._katz_solve(g, deltas, lambda1, tol)
     spare, residual = np.empty(g.node_count), np.empty(g.node_count)
     results = []
-    for x, delta, m in zip(katz, deltas, steps):
+    for x, delta in zip(katz, deltas):
         gpg = g.spmv(x, out=spare)
         np.multiply(gpg, delta, out=residual)
         residual -= x
         residual += 1.0
         bound = np.linalg.norm(residual) / (1.0 - delta * lambda1)
-        results.append((gpg, m, bool(bound <= tol * np.linalg.norm(x))))
+        results.append((gpg, bool(bound <= tol * np.linalg.norm(x))))
         spare = x
     return results

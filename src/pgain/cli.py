@@ -197,6 +197,8 @@ def _cmd_compute(args) -> int:
 
 
 def _gain_params(args) -> GainParams:
+    if args.max_k is not None and args.max_k < 1:
+        raise ParameterError("--max-k must be at least 1")
     return GainParams(delta=args.delta, delta_star=args.delta_star,
                       max_walk_length=args.max_k, tolerance=args.tol)
 
@@ -233,9 +235,10 @@ def _cmd_sweep(args) -> int:
         try:
             grid = [float(tok) for tok in args.grid.split(",") if tok.strip()]
         except ValueError:
-            print(f"pgain: error: --grid must be comma-separated numbers,"
-                  f" got {args.grid!r}", file=sys.stderr)
-            return EXIT_PARAMS
+            raise ParameterError(f"--grid must be comma-separated numbers,"
+                                 f" got {args.grid!r}") from None
+    # every parameter is checked before the input is read
+    grid = analysis._check_sweep(grid, args.alpha, args.tol)
     graph = parse_edge_list(args.input)
     warnings: list[str] = []
     result = analysis.delta_sweep(
@@ -265,11 +268,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
+    params = _gain_params(args)  # checked before the input is read
     graph = parse_edge_list(args.input)
     if graph.node_count == 0:
         raise ParameterError("empty graph")
     kind = "geometric" if args.metric == "gpg" else "exponential"
-    vector, trace = gain_with_trace(graph, _gain_params(args), kind=kind)
+    vector, trace = gain_with_trace(graph, params, kind=kind)
     if args.format == "csv":
         _emit(args.out, trace.to_csv())
     else:

@@ -118,9 +118,14 @@ class Graph:
         key.sort()
         key = key[np.diff(key, prepend=-1) != 0]
         dupes = len(us) - key.size
-        lo, hi = np.divmod(key, n)
-        both = np.concatenate([hi * n + lo, key])
-        del key, lo, hi
+        # both = [hi * n + lo, key] for key = lo * n + hi, built in place:
+        # on large inputs the parse's peak memory is reached here
+        both = np.empty(2 * key.size, dtype=np.int64)
+        both[key.size:] = key
+        flipped = np.remainder(key, n, out=both[:key.size])
+        flipped *= n
+        flipped += np.floor_divide(key, n, out=key)
+        del key, flipped
         both.sort()
         indptr = np.searchsorted(both, np.arange(n + 1, dtype=np.int64) * n)
         indices = np.remainder(both, n, out=both)
@@ -291,8 +296,9 @@ def _parse_ascii_file(path) -> Graph | None:
     del columns, first
     node = np.empty(rank.size, dtype=np.int64)  # node id of each group
     node[rank] = np.arange(rank.size)
-    group = np.cumsum(new_group) - 1  # group of each token in hash order
+    group = np.cumsum(new_group)
     del new_group
+    group -= 1  # group of each token in hash order
     ids = np.empty(order.size, dtype=np.int64)
     ids[order] = node[group]
     del order, group

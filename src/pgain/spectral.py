@@ -13,17 +13,19 @@ bipartite graphs give +lambda1. The recurrence does not depend on the
 tolerance, so one run serves several stop rules (lambda1 and the EC
 column).
 
-``_katz_solve`` runs the same recurrence for (I - delta A) x = 1 at several
-decays at once: the Krylov space of the uniform vector does not depend on
-delta, so pass 1 carries only the scalar LDL^T pivots of I - delta T_m per
-decay, and pass 2 replays the recurrence once for every solution.
+The Katz system (I - delta A) x = 1 lives in the same Krylov space at every
+delta, so ``_katz_solve`` needs only the scalar steps of that recurrence and
+carries the LDL^T pivots of I - delta T_m per decay. The sweep runs one
+pass for both (``_lanczos``): the Katz rules read the steps lambda1 has
+stored and continue its recurrence, and one replay builds every vector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -74,6 +76,14 @@ def lanczos(
     uniform start onto the top eigenspace, supported on the components with
     the largest spectral radius.
     """
+    return _lanczos(g, rules, eigenvectors)[0]
+
+
+def _lanczos(g, rules, eigenvectors, decays=None, katz_tol=None):
+    """``lanczos``, and the Katz vectors at ``decays(lambda1)`` (lambda1 of
+    the last rule to stop) to ``katz_tol``: 2 max(m, max m_j) - 1 SpMVs in
+    all, m the steps of lambda1, or 2 max m_j - 1 more after a restart.
+    Returns both."""
     for tol, max_iter in rules:
         if not 0 < tol < math.inf:
             raise ParameterError(f"tol must be finite and positive, got {tol}")
@@ -83,7 +93,7 @@ def lanczos(
     if n == 0:
         raise ParameterError("empty graph has no spectrum")
 
-    start = 1.0 / math.sqrt(n)  # the uniform unit vector; later a Ritz vector
+    uniform = start = 1.0 / math.sqrt(n)  # later a Ritz vector
     buffers = [np.empty(n) for _ in range(3)]  # q_prev, q, w
     tri = np.zeros((KRYLOV_DIM + 1, KRYLOV_DIM))  # T_m, lower triangle
     estimates: list[SpectralEstimate | None] = [None] * len(rules)
@@ -91,7 +101,8 @@ def lanczos(
     while True:
         active = [j for j, est in enumerate(estimates) if est is None]
         stops = {}  # rule -> (Ritz coefficients, theta, cost, converged, residual)
-        for m, (alpha, beta) in enumerate(_recurrence(g, start, buffers), 1):
+        recurrence = _recurrence(g, start, buffers)
+        for m, (alpha, beta) in enumerate(recurrence, 1):
             tri[m - 1, m - 1], tri[m, m - 1] = alpha, beta
             # eigh of a 1 x 1 matrix would return the same pair, only slower
             thetas, vectors = (np.linalg.eigh(tri[:m, :m]) if m > 1
@@ -113,16 +124,29 @@ def lanczos(
             if not active or m == KRYLOV_DIM:
                 break
         wanted = [stop[0] for stop in stops.values()] if eigenvectors else []
-        restart = [s] if active else []
-        ritz = (_ritz_vectors(g, start, wanted + restart, buffers)
-                if wanted or restart else [])
+        wanted += [s] if active else []  # the restart vector
+        solved, katz_vectors = [], []  # Katz coefficients and vectors
+        if decays is not None and not active:
+            # T_m holds the uniform vector's steps unless a restart came first
+            stored = zip(np.diag(tri)[:m].tolist(), np.diag(tri, -1)[:m].tolist())
+            steps = (_recurrence(g, uniform, buffers) if spent
+                     else chain(stored, recurrence))
+            solved = _katz_solve(steps, n, decays(theta), theta, katz_tol)
+            if spent:  # the replay below starts from a Ritz vector
+                katz_vectors, solved = _replay(g, uniform, solved, buffers), []
+        sums = _replay(g, start, wanted + solved, buffers)
+        ritz, katz_vectors = sums[:len(wanted)], katz_vectors + sums[len(wanted):]
+        for v in ritz:  # flipped to a positive total and normalised
+            if v.sum() < 0:
+                np.negative(v, out=v)
+            np.maximum(v, 0.0, out=v)  # the Perron vector has no negative entry
+            v /= math.sqrt(v @ v)
+            v.flags.writeable = False
         for j, (_, theta, cost, met, residual) in stops.items():
             v = ritz.pop(0) if eigenvectors else None
-            if v is not None:
-                v.flags.writeable = False
             estimates[j] = SpectralEstimate(theta, v, cost, met, residual)
         if not active:
-            return estimates
+            return estimates, katz_vectors
         [start] = ritz
         spent += 2 * KRYLOV_DIM - 1
 
@@ -136,42 +160,39 @@ def eigenvector_centrality(
 
 
 def _katz_solve(
-    g: Graph,
+    steps: Iterable[tuple[float, float]],
+    n: int,
     deltas: Sequence[float],
     lambda1: float,
     tol: float,
-) -> tuple[list[np.ndarray], list[int]]:
-    """Katz vectors x_j = (I - delta_j A)^(-1) 1 for every decay, from one
-    two-pass Lanczos run.
+) -> list[np.ndarray]:
+    """Coefficients y_j of the Katz vectors x_j = (I - delta_j A)^(-1) 1 =
+    Q_m y_j, from the (alpha, beta) ``steps`` of the recurrence from the
+    uniform vector on ``n`` nodes.
 
-    Pass 1 runs the recurrence from the uniform vector and carries, per
-    decay, the LDL^T pivots d_i of I - delta_j T_m and the forward values
-    z_i of (I - delta_j T_m) y = sqrt(n) e_1. The residual of x = Q_m y is
-    delta_j beta_m |y_m| with y_m = z_m / d_m, and I - delta_j A has
-    smallest eigenvalue 1 - delta_j lambda1, so decay j stops at the first
-    step m where delta_j beta_m |y_m| / (1 - delta_j lambda1) <= tol
-    sqrt(n) (Katz >= 1 entrywise, so ||x|| >= sqrt(n)), or at
-    ``DEFAULT_MAX_ITER`` steps. Pass 2 gets each y by back-substitution
-    through its pivots and replays the recurrence once, summing y_i q_i
-    into one vector per decay. Returns the solutions and each decay's step
-    count m_j; the run costs 2 max(m_j) - 1 SpMVs and holds
-    3 + len(deltas) n-vectors.
+    Per decay, each step extends the LDL^T pivots d_i of I - delta_j T_m
+    and the forward values z_i of (I - delta_j T_m) y = sqrt(n) e_1. The
+    residual of x = Q_m y is delta_j beta_m |y_m| with y_m = z_m / d_m, and
+    I - delta_j A has smallest eigenvalue 1 - delta_j lambda1, so decay j
+    stops at the first step m where delta_j beta_m |y_m| / (1 - delta_j
+    lambda1) <= tol sqrt(n) (Katz >= 1 entrywise, so ||x|| >= sqrt(n)), or
+    at ``DEFAULT_MAX_ITER`` steps. Each y then comes by back-substitution
+    through its pivots, so len(y_j) is decay j's step count m_j. ``steps``
+    is read only until every decay has stopped, and a replay sums the x_j.
 
-    The caller passes a nonempty graph and decays with 0 < delta_j lambda1
-    < 1. A pivot d_m <= 0 means that T_m, and so A, has an eigenvalue of
-    at least 1/delta_j (``lambda1`` was too small): the Katz series
-    diverges, and ``ParameterError`` is raised.
+    The caller passes n >= 1 and decays with 0 < delta_j lambda1 < 1. A
+    pivot d_m <= 0 means that T_m, and so A, has an eigenvalue of at least
+    1/delta_j (``lambda1`` was too small): the Katz series diverges, and
+    ``ParameterError`` is raised.
     """
-    n = g.node_count
     root_n = math.sqrt(n)
     limits = [tol * root_n * (1.0 - delta * lambda1) for delta in deltas]
     pivots = [[] for _ in deltas]  # d_1..d_m per decay
     forward = [[] for _ in deltas]  # z_1..z_m per decay
     betas = []  # beta_1..beta_(m-1): the off-diagonal of T_m
-    steps = [0] * len(deltas)
+    counts = [0] * len(deltas)
     active = list(range(len(deltas)))
-    buffers = [np.empty(n) for _ in range(3)]
-    for m, (alpha, beta) in enumerate(_recurrence(g, 1.0 / root_n, buffers), 1):
+    for m, (alpha, beta) in enumerate(steps, 1):
         for j in active:
             delta, d, z = deltas[j], pivots[j], forward[j]
             if m == 1:
@@ -189,20 +210,20 @@ def _katz_solve(
             z.append(value)
             if (delta * beta * abs(value / pivot) <= limits[j]
                     or m == DEFAULT_MAX_ITER):
-                steps[j] = m
+                counts[j] = m
         betas.append(beta)
-        active = [j for j in active if not steps[j]]
+        active = [j for j in active if not counts[j]]
         if not active:
             break
 
     coefficients = []
-    for delta, d, z, m in zip(deltas, pivots, forward, steps):
+    for delta, d, z, m in zip(deltas, pivots, forward, counts):
         y = np.empty(m)  # L^T y = D^(-1) z, from the last entry up
         y[m - 1] = z[m - 1] / d[m - 1]
         for i in range(m - 2, -1, -1):
             y[i] = (z[i] + delta * betas[i] * y[i + 1]) / d[i]
         coefficients.append(y)
-    return _replay(g, 1.0 / root_n, coefficients, buffers), steps
+    return coefficients
 
 
 def _recurrence(g, start, buffers):
@@ -237,7 +258,7 @@ def _replay(g, start, coefficients, buffers):
     sums = [np.empty(g.node_count) for _ in coefficients]
     np.copyto(buffers[1], start)  # q_1, before the replay's first step
     replay = _recurrence(g, start, buffers)
-    steps = max(len(s) for s in coefficients)
+    steps = max(map(len, coefficients), default=0)
     for i in range(steps):
         q, tmp = buffers[1], buffers[2]  # w is free here
         for s, v in zip(coefficients, sums):
@@ -250,14 +271,3 @@ def _replay(g, start, coefficients, buffers):
             next(replay)
     return sums
 
-
-def _ritz_vectors(g, start, coefficients, buffers):
-    """Each Ritz vector sum_j s_j q_j, flipped to a positive total and
-    normalised."""
-    sums = _replay(g, start, coefficients, buffers)
-    for v in sums:
-        if v.sum() < 0:
-            np.negative(v, out=v)
-        np.maximum(v, 0.0, out=v)  # the Perron vector has no negative entry
-        v /= math.sqrt(v @ v)
-    return sums

@@ -64,3 +64,12 @@ def rel_err(actual, expected):
     if scale == 0:
         return np.linalg.norm(np.asarray(actual, dtype=np.float64))
     return np.linalg.norm(np.asarray(actual, dtype=np.float64) - expected) / scale
+
+
+def count_spmv(monkeypatch):
+    calls = []
+    spmv = Graph.spmv
+    monkeypatch.setattr(
+        Graph, "spmv", lambda self, *a, **k: calls.append(1) or spmv(self, *a, **k)
+    )
+    return calls

@@ -25,7 +25,7 @@ from pgain import (
     parse_edge_list,
     spearman_rho,
 )
-from pgain import oracle
+import oracle
 from pgain.cli import main
 from pgain.generate import (
     barabasi_albert_edges,

@@ -16,12 +16,31 @@ from pgain import (
     pagerank,
     spearman_rho,
 )
-from pgain import oracle
+import oracle
 from pgain.analysis import DEFAULT_GRID, SWEEP_COLUMNS, _grid_gpg, average_ranks
 from pgain.generate import complete_edges, ring_edges, star_edges
-from pgain.spectral import _katz_solve
+from pgain.spectral import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    KRYLOV_DIM,
+    _katz_solve,
+    _lanczos,
+    _recurrence,
+    _replay,
+)
 
-from conftest import ba_graph, rel_err
+from conftest import ba_graph, count_spmv, rel_err
+
+
+def katz_solve(g, deltas, lambda1, tol):
+    """Katz vectors and step counts from a pass and a replay of their own
+    from the uniform vector, as the sweep computes them after a restart."""
+    n = g.node_count
+    uniform, buffers = 1.0 / math.sqrt(n), [np.empty(n) for _ in range(3)]
+    coefficients = _katz_solve(
+        _recurrence(g, uniform, buffers), n, deltas, lambda1, tol)
+    katz = _replay(g, uniform, coefficients, buffers)
+    return katz, [len(y) for y in coefficients]
 
 
 class TestSpearman:
@@ -114,14 +133,36 @@ class TestDeltaSweep:
         assert len(lines) == 3
 
     def test_one_series_pass_and_one_power_iteration(self, monkeypatch):
-        # one Lanczos solve for lambda1 and EC, PageRank, EPG, then one
-        # two-pass Katz solve of m steps for the whole grid (2m - 1 SpMVs)
-        # and one SpMV per grid value for GPG = A Katz
+        # one Lanczos pass of max(m, max m_j) steps for lambda1 (m steps),
+        # EC and the Katz vector of every grid value (m_j steps), one replay
+        # for all of them, PageRank, EPG, and one SpMV per grid value for
+        # GPG = A Katz
         g = ba_graph(300, 3, seed=3)
         grid = [0.1, 0.5, 0.9]
         spectrum = lanczos(g)[0]
-        _, steps = _katz_solve(
-            g, [s / spectrum.lambda1 for s in grid], spectrum.lambda1, 1e-12)
+        lam = spectrum.lambda1
+        _, steps = katz_solve(g, [s / lam for s in grid], lam, 1e-12)
+        assert spectrum.iterations < 2 * KRYLOV_DIM  # no restart
+        expected = (
+            2 * max((spectrum.iterations + 1) // 2, *steps) - 1
+            + pagerank(g).iterations_used
+            + exponential_potential_gain(g).iterations_used
+            + len(grid)
+        )
+        calls = count_spmv(monkeypatch)
+        result = delta_sweep(g, grid=grid)
+        assert result.converged
+        assert len(calls) == expected
+
+    def test_a_restarted_lambda1_costs_two_separate_solves(self, monkeypatch):
+        # on P_200 lambda1 needs restarts, so the Katz solve runs its own
+        # pass and replay from the uniform vector, as two separate solves do
+        g = Graph.from_edges([(i, i + 1) for i in range(199)])
+        grid = [0.1, 0.5, 0.9]
+        spectrum = lanczos(g)[0]
+        lam = spectrum.lambda1
+        _, steps = katz_solve(g, [s / lam for s in grid], lam, 1e-12)
+        assert spectrum.converged and spectrum.iterations > 2 * KRYLOV_DIM
         expected = (
             spectrum.iterations
             + pagerank(g).iterations_used
@@ -129,13 +170,9 @@ class TestDeltaSweep:
             + 2 * max(steps) - 1
             + len(grid)
         )
-        calls = []
-        spmv = Graph.spmv
-        monkeypatch.setattr(
-            Graph, "spmv", lambda self, *a, **k: calls.append(1) or spmv(self, *a, **k)
-        )
+        calls = count_spmv(monkeypatch)
         result = delta_sweep(g, grid=grid)
-        assert result.converged
+        assert result.converged and result.lambda1 == lam
         assert len(calls) == expected
 
     def test_bad_grid_rejected(self, star_plus_tail):
@@ -171,8 +208,9 @@ class TestGridSolve:
         lam = oracle.oracle_lambda1(g)
         grid = list(DEFAULT_GRID) + [0.99]
         deltas = [star / lam for star in grid]
-        for delta, (gpg, _, certified) in zip(
-            deltas, _grid_gpg(g, deltas, lam, 1e-12)
+        katz, _ = katz_solve(g, deltas, lam, 1e-12)
+        for delta, (gpg, certified) in zip(
+            deltas, _grid_gpg(g, katz, deltas, lam, 1e-12)
         ):
             assert certified
             reference = oracle.oracle_gain(g, "geometric", delta=delta)
@@ -181,11 +219,11 @@ class TestGridSolve:
     def test_edgeless_graph_is_exact_after_one_step(self):
         # beta_1 = 0: the uniform vector spans an invariant subspace
         g = Graph.from_edges([(0, 0), (1, 1), (2, 2)])
-        katz, steps = _katz_solve(g, [0.1, 0.5, 0.9], 0.0, 1e-12)
+        katz, steps = katz_solve(g, [0.1, 0.5, 0.9], 0.0, 1e-12)
         assert steps == [1, 1, 1]
         for x in katz:
             np.testing.assert_array_equal(x, np.ones(3))
-        for gpg, _, certified in _grid_gpg(g, [0.1, 0.5, 0.9], 0.0, 1e-12):
+        for gpg, certified in _grid_gpg(g, katz, [0.1, 0.5, 0.9], 0.0, 1e-12):
             assert certified and not gpg.any()
 
     def test_slow_decay_on_a_path_meets_the_cg_bound(self):
@@ -198,7 +236,8 @@ class TestGridSolve:
         n, star, tol = 1000, 0.99, 1e-12
         g = Graph.from_edges([(i, i + 1) for i in range(n - 1)])
         lam = 2 * math.cos(math.pi / (n + 1))
-        [(gpg, steps, certified)] = _grid_gpg(g, [star / lam], lam, tol)
+        katz, [steps] = katz_solve(g, [star / lam], lam, tol)
+        [(gpg, certified)] = _grid_gpg(g, katz, [star / lam], lam, tol)
         assert certified
         root = math.sqrt((1 + star) / (1 - star))
         rho = (root - 1) / (root + 1)
@@ -217,4 +256,31 @@ class TestGridSolve:
         lam = lanczos(g)[0].lambda1
         deltas = [4 * star / lam for star in (0.5, 0.9)]
         with pytest.raises(ParameterError, match="not positive definite"):
-            _grid_gpg(g, deltas, lam / 4, 1e-12)
+            katz_solve(g, deltas, lam / 4, 1e-12)
+
+    @pytest.mark.parametrize("make", [
+        lambda: ba_graph(300, 3, seed=3),
+        lambda: Graph.from_edges([(0, 0), (1, 1), (2, 2)]),
+        two_cliques,
+        lambda: Graph.from_edges([(i, i + 1) for i in range(199)]),
+    ], ids=["ba300", "edgeless", "k4+k3", "p200-restarted"])
+    def test_shared_pass_matches_separate_solves(self, make):
+        # the sweep's one pass returns, bit for bit, what lanczos and a Katz
+        # solve of its own return, with or without a restart of lambda1
+        g = make()
+        grid = [0.1, 0.5, 0.9, 0.99]
+
+        def decays(lam):
+            return [star / lam if lam > 0 else star for star in grid]
+
+        rules = [(DEFAULT_TOL, DEFAULT_MAX_ITER)]
+        [shared], katz = _lanczos(g, rules, True, decays, 1e-12)
+        [alone] = lanczos(g, rules)
+        assert (shared.lambda1, shared.iterations, shared.converged,
+                shared.residual) == (alone.lambda1, alone.iterations,
+                                     alone.converged, alone.residual)
+        np.testing.assert_array_equal(shared.eigenvector, alone.eigenvector)
+        expected, _ = katz_solve(g, decays(alone.lambda1), alone.lambda1, 1e-12)
+        assert len(katz) == len(grid)
+        for x, y in zip(katz, expected):
+            np.testing.assert_array_equal(x, y)

@@ -10,7 +10,7 @@ from pgain import (
     katz_centrality,
     pagerank,
 )
-from pgain import oracle
+import oracle
 
 from conftest import ba_graph, er_graph, rel_err
 

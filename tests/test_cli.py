@@ -24,6 +24,8 @@ from pgain.cli import METRICS, main
 from pgain.generate import barabasi_albert_edges, complete_edges, edges_to_text
 from pgain.vectors import CentralityVector
 
+from conftest import count_spmv
+
 
 @pytest.fixture
 def k3_file(tmp_path):
@@ -60,15 +62,6 @@ def p500_file(tmp_path):
     path = tmp_path / "p500.txt"
     path.write_text("".join(f"{i} {i + 1}\n" for i in range(499)))
     return path
-
-
-def count_spmv(monkeypatch):
-    calls = []
-    spmv = Graph.spmv
-    monkeypatch.setattr(
-        Graph, "spmv", lambda self, *a, **k: calls.append(1) or spmv(self, *a, **k)
-    )
-    return calls
 
 
 def read_scores(path):
@@ -149,7 +142,10 @@ class TestCompute:
         out = tmp_path / "out"
         assert main(["compute", "--metric", metric, *option, "--out", str(out),
                      str(k3_file)]) == 2
-        assert capsys.readouterr().err.startswith("pgain: error:")
+        err = capsys.readouterr().err
+        assert err.startswith("pgain: error:")
+        if option[0] == "--max-k":  # the option, not the library's field
+            assert err == "pgain: error: --max-k must be at least 1\n"
         assert not out.exists()
 
     def test_summary_on_stderr(self, k3_file, tmp_path, capsys):
@@ -395,6 +391,33 @@ def test_empty_file_is_parameter_error(tmp_path, capsys, command):
     assert main([*command, str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == "pgain: error: empty graph\n"
     assert not (tmp_path / "out").is_file()
+
+
+@pytest.mark.parametrize("case", [
+    (["sweep", "--grid", "0.5,0.2"], "grid must be strictly ascending"),
+    (["sweep", "--grid", "0,0.5"], "grid values must lie strictly inside"),
+    (["sweep", "--grid", "0.5,1"], "grid values must lie strictly inside"),
+    (["sweep", "--grid", "0.2,abc"], "--grid must be comma-separated"),
+    (["sweep", "--alpha", "2"], "alpha must lie in (0, 1)"),
+    (["sweep", "--tol", "-1"], "tolerance must be finite and positive"),
+    (["convergence", "--metric", "gpg", "--tol", "-1"],
+     "tolerance must be finite and positive"),
+    (["convergence", "--metric", "epg", "--max-k", "0"],
+     "--max-k must be at least 1"),
+    (["convergence", "--metric", "gpg", "--delta", "-1"],
+     "delta must be positive"),
+    (["convergence", "--metric", "gpg", "--delta-star", "1.5"],
+     "delta_star must lie in (0, 1)"),
+], ids=lambda case: "-".join(a.lstrip("-") for a in case[0]))
+def test_bad_parameter_is_rejected_before_reading(tmp_path, capsys, monkeypatch,
+                                                  case):
+    # a missing input would exit 1 (i/o error) if it were read first
+    args, message = case
+    calls = count_spmv(monkeypatch)
+    assert main([*args, str(tmp_path / "missing.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pgain: error:") and message in err, err
+    assert calls == []
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])

@@ -18,7 +18,7 @@ from pgain import (
     lanczos,
     spearman_rho,
 )
-from pgain import oracle
+import oracle
 from pgain import gain
 from pgain.gain import _norm, _run_series
 from pgain.generate import complete_edges

@@ -275,7 +275,9 @@ def test_spmv_respects_symmetry(pairs, seed):
     y = rng.standard_normal(g.node_count)
     left = float(y @ g.spmv(x))
     right = float(x @ g.spmv(y))
-    scale = max(abs(left), abs(right), 1e-30)
+    # the rounding of both sums is bounded by |y|^T A |x|, while y^T A x
+    # itself can cancel to far below it
+    scale = float(np.abs(y) @ g.spmv(np.abs(x)))
     assert abs(left - right) <= 1e-12 * scale
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pgain import Graph, ParameterError
-from pgain import oracle
+import oracle
 from pgain.generate import complete_edges, erdos_renyi_edges
 
 

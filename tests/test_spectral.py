@@ -9,7 +9,7 @@ from pgain import (
     eigenvector_centrality,
     lanczos,
 )
-from pgain import oracle
+import oracle
 from pgain.generate import complete_edges, grid_edges, ring_edges, star_edges
 
 from conftest import ba_graph, er_graph
