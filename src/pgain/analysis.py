@@ -84,23 +84,13 @@ class SweepResult:
     PageRank or EPG stopped at its cap, or when the Katz solve at some grid
     value has no certified error ||r|| / (1 - delta_star) within
     ``tolerance * ||Katz||`` (r = 1 - (I - delta A) Katz, its true
-    residual)."""
+    residual). The CLI writes it as CSV or JSON."""
 
     delta_star_grid: np.ndarray
     rho: dict  # column name -> array aligned with the grid (NaN = undefined)
     alpha: float
     lambda1: float
     converged: bool
-
-    def to_csv(self) -> str:
-        lines = ["delta_star," + ",".join(f"rho_{c}" for c in SWEEP_COLUMNS)]
-        for row, star in enumerate(self.delta_star_grid):
-            cells = [f"{star:.17g}"]
-            for c in SWEEP_COLUMNS:
-                v = self.rho[c][row]
-                cells.append("" if np.isnan(v) else f"{v:.17g}")
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
 
 
 def delta_sweep(

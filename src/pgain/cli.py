@@ -2,9 +2,11 @@
 
 Subcommands: ``compute`` (per-node scores), ``sweep`` (GPG correlations vs
 normalized decay), ``convergence`` (truncation-error trace), ``generate``
-(synthetic edge lists), ``spectral`` (lambda1 estimate). Outputs are CSV by
-default (17-significant-digit floats, so identical runs are byte-identical);
-``--format json`` switches to JSON. Summaries go to stderr.
+(synthetic edge lists), ``spectral`` (lambda1 estimate). This is the one
+module that formats results: the library returns arrays and records, and
+every command's CSV goes through ``_write_csv`` (17-significant-digit
+floats, so identical runs are byte-identical); ``--format json`` switches
+to JSON. Summaries go to stderr.
 
 Exit codes: 0 all requested computations converged, 1 I/O error,
 2 bad parameters or input, 3 a computation failed to converge (stopped at
@@ -23,6 +25,8 @@ import json
 import math
 import sys
 import time
+from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -192,7 +196,17 @@ def _cmd_compute(args) -> int:
         _summary(graph, lam, vector, wall)
         all_converged &= vector.converged
         path = out_dir / f"{metric}.{args.format}"
-        _write_scores(path, graph, vector, args.format)
+        if args.format == "csv":
+            _write_csv(path, "node,score", "%s,%.17g", graph.labels,
+                       vector.scores)
+        else:
+            _emit(path, json.dumps({
+                "metric": vector.metric,
+                "params": vector.params,
+                "iterations": vector.iterations_used,
+                "converged": vector.converged,
+                "scores": dict(zip(graph.labels, vector.scores.tolist())),
+            }, indent=2) + "\n")
     return EXIT_OK if all_converged else EXIT_NOT_CONVERGED
 
 
@@ -201,32 +215,6 @@ def _gain_params(args) -> GainParams:
         raise ParameterError("--max-k must be at least 1")
     return GainParams(delta=args.delta, delta_star=args.delta_star,
                       max_walk_length=args.max_k, tolerance=args.tol)
-
-
-def _write_scores(path: Path, graph: Graph, vector: CentralityVector,
-                  fmt: str) -> None:
-    if fmt == "csv":
-        labels, scores = graph.labels, vector.scores
-        with open(path, "w") as handle:
-            handle.write("node,score\n")
-            for i in range(0, len(labels), CSV_CHUNK_ROWS):
-                j = i + CSV_CHUNK_ROWS
-                handle.write("".join(
-                    f"{label},{score:.17g}\n"
-                    for label, score in zip(labels[i:j], scores[i:j].tolist())
-                ))
-    else:
-        payload = {
-            "metric": vector.metric,
-            "params": _jsonable(vector.params),
-            "iterations": vector.iterations_used,
-            "converged": vector.converged,
-            "scores": {
-                label: float(score)
-                for label, score in zip(graph.labels, vector.scores)
-            },
-        }
-        path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def _cmd_sweep(args) -> int:
@@ -248,17 +236,19 @@ def _cmd_sweep(args) -> int:
     for message in warnings:
         print(f"pgain: warning: undefined correlation ({message})",
               file=sys.stderr)
+    # NaN (an undefined correlation) is an empty CSV cell and a JSON null
+    names = ["delta_star", *(f"rho_{c}" for c in analysis.SWEEP_COLUMNS)]
+    stars = result.delta_star_grid.tolist()
+    rho = [[None if math.isnan(v) else v for v in result.rho[c].tolist()]
+           for c in analysis.SWEEP_COLUMNS]
     if args.format == "csv":
-        _emit(args.out, result.to_csv())
+        cells = [["" if v is None else "%.17g" % v for v in column]
+                 for column in rho]
+        _write_csv(args.out, ",".join(names), "%.17g" + ",%s" * len(rho),
+                   stars, *cells)
     else:
-        rows = []
-        for i, star in enumerate(result.delta_star_grid):
-            row = {"delta_star": float(star)}
-            for column in analysis.SWEEP_COLUMNS:
-                value = result.rho[column][i]
-                row[f"rho_{column}"] = None if np.isnan(value) else float(value)
-            rows.append(row)
-        payload = {"alpha": result.alpha, "lambda1": result.lambda1, "rows": rows}
+        payload = {"alpha": result.alpha, "lambda1": result.lambda1,
+                   "rows": [dict(zip(names, row)) for row in zip(stars, *rho)]}
         _emit(args.out, json.dumps(payload, indent=2) + "\n")
     if not result.converged:
         print("pgain: warning: a computation stopped at its iteration cap"
@@ -275,41 +265,29 @@ def _cmd_convergence(args) -> int:
     kind = "geometric" if args.metric == "gpg" else "exponential"
     vector, trace = gain_with_trace(graph, params, kind=kind)
     if args.format == "csv":
-        _emit(args.out, trace.to_csv())
+        _write_csv(args.out, "k,epsilon", "%d,%.17g", *zip(*trace.errors))
     else:
-        payload = {
-            "metric": trace.metric,
-            "params": _jsonable(trace.params),
-            "points": [[k, eps] for k, eps in trace.errors],
-        }
+        payload = {"metric": trace.metric, "params": trace.params,
+                   "points": trace.errors}
         _emit(args.out, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK if vector.converged else EXIT_NOT_CONVERGED
 
 
 def _cmd_generate(args) -> int:
-    kind = args.kind
-    params = args.params
+    make, types = {
+        "complete": (generate.complete_edges, (int,)),
+        "ring": (generate.ring_edges, (int,)),
+        "star": (generate.star_edges, (int,)),
+        "grid": (generate.grid_edges, (int, int)),
+        "er": (partial(generate.erdos_renyi_edges, seed=args.seed), (int, float)),
+        "ba": (partial(generate.barabasi_albert_edges, seed=args.seed), (int, int)),
+    }[args.kind]
     try:
-        if kind == "complete":
-            (n,) = map(int, params)
-            edges = generate.complete_edges(n)
-        elif kind == "ring":
-            (n,) = map(int, params)
-            edges = generate.ring_edges(n)
-        elif kind == "star":
-            (leaves,) = map(int, params)
-            edges = generate.star_edges(leaves)
-        elif kind == "grid":
-            rows, cols = map(int, params)
-            edges = generate.grid_edges(rows, cols)
-        elif kind == "er":
-            n, p = int(params[0]), float(params[1])
-            edges = generate.erdos_renyi_edges(n, p, seed=args.seed)
-        else:
-            n, m0 = map(int, params)
-            edges = generate.barabasi_albert_edges(n, m0, seed=args.seed)
-    except (TypeError, ValueError, IndexError):
-        print(f"pgain: error: bad parameters for {kind!r}: {params}",
+        if len(args.params) != len(types):
+            raise ValueError
+        edges = make(*(cast(value) for cast, value in zip(types, args.params)))
+    except ValueError:
+        print(f"pgain: error: bad parameters for {args.kind!r}: {args.params}",
               file=sys.stderr)
         return EXIT_PARAMS
     _emit(args.out, generate.edges_to_text(edges))
@@ -317,6 +295,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
+    baselines._check_args(args.tol, args.max_iter)  # before the input is read
     graph = parse_edge_list(args.input)
     [estimate] = lanczos(graph, [(args.tol, args.max_iter)], eigenvectors=False)
     print(
@@ -329,19 +308,28 @@ def _cmd_spectral(args) -> int:
     return EXIT_OK if estimate.converged else EXIT_NOT_CONVERGED
 
 
+def _write_csv(out, header: str, row: str, *columns) -> None:
+    """Write the line ``header``, then the line ``row % (c[i] for c in
+    columns)`` for every index i of the equal-length ``columns``, to the
+    file ``out``, or to stdout when it is None. One ``%`` operation formats
+    each chunk of ``CSV_CHUNK_ROWS`` rows."""
+    width, row = len(columns), row + "\n"
+    with (nullcontext(sys.stdout) if out is None else open(out, "w")) as handle:
+        handle.write(header + "\n")
+        for i in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+            chunk = [c[i:i + CSV_CHUNK_ROWS] for c in columns]
+            cells = [None] * (width * len(chunk[0]))
+            for k, part in enumerate(chunk):
+                cells[k::width] = (part.tolist() if isinstance(part, np.ndarray)
+                                   else part)
+            handle.write(row * len(chunk[0]) % tuple(cells))
+
+
 def _emit(out: str | None, text: str) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
-
-
-def _jsonable(params: dict) -> dict:
-    return {
-        key: (None if value is None else
-              value if isinstance(value, (bool, int, str)) else float(value))
-        for key, value in params.items()
-    }
 
 
 if __name__ == "__main__":

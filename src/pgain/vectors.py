@@ -36,13 +36,9 @@ class ConvergenceTrace:
 
     ``errors`` holds (k, epsilon) pairs for k = 1 .. iterations used,
     measured against the same series run to a relative term of 1e-15.
+    The CLI writes it as CSV or JSON.
     """
 
     metric: str
     errors: tuple[tuple[int, float], ...]
     params: dict = field(default_factory=dict)
-
-    def to_csv(self) -> str:
-        lines = ["k,epsilon"]
-        lines += [f"{k},{eps:.17g}" for k, eps in self.errors]
-        return "\n".join(lines) + "\n"

@@ -37,6 +37,10 @@ def path4():
     return Graph.from_edges([(0, 1), (1, 2), (2, 3)])
 
 
+STAR_PLUS_TAIL_EDGES = ([(0, i) for i in range(1, 7)]
+                        + [(0, 7), (7, 8), (7, 9), (8, 9)])
+
+
 @pytest.fixture
 def star_plus_tail():
     """Hub (0) with six leaves plus a short tail ending in a triangle knot.
@@ -46,8 +50,7 @@ def star_plus_tail():
     below the leaves while degree ranks it above, which makes the
     degree-vs-eigenvector transition visible in decay sweeps.
     """
-    edges = [(0, i) for i in range(1, 7)] + [(0, 7), (7, 8), (7, 9), (8, 9)]
-    return Graph.from_edges(edges)
+    return Graph.from_edges(STAR_PLUS_TAIL_EDGES)
 
 
 def er_graph(n, p, seed):

@@ -18,7 +18,9 @@ from pgain import (
 )
 import oracle
 from pgain.analysis import DEFAULT_GRID, SWEEP_COLUMNS, _grid_gpg, average_ranks
-from pgain.generate import complete_edges, ring_edges, star_edges
+from pgain.cli import main
+from pgain.generate import (complete_edges, edges_to_text, ring_edges,
+                            star_edges)
 from pgain.spectral import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -29,7 +31,7 @@ from pgain.spectral import (
     _replay,
 )
 
-from conftest import ba_graph, count_spmv, rel_err
+from conftest import STAR_PLUS_TAIL_EDGES, ba_graph, count_spmv, rel_err
 
 
 def katz_solve(g, deltas, lambda1, tol):
@@ -69,6 +71,10 @@ class TestSpearman:
     def test_too_short(self):
         with pytest.raises(ParameterError):
             spearman_rho([1.0], [2.0])
+
+    def test_non_finite_input(self):
+        with pytest.raises(ParameterError, match="finite"):
+            spearman_rho([1.0, math.nan], [1.0, 2.0])
 
     def test_constant_input_undefined(self):
         with pytest.raises(UndefinedCorrelationError):
@@ -126,9 +132,12 @@ class TestDeltaSweep:
             assert np.all(np.isnan(result.rho[column]))
         assert warnings
 
-    def test_csv_header_and_shape(self, star_plus_tail):
-        result = delta_sweep(star_plus_tail, grid=[0.2, 0.4])
-        lines = result.to_csv().strip().split("\n")
+    def test_csv_header_and_shape(self, tmp_path, capsys):
+        # the CLI writes the sweep's CSV
+        path = tmp_path / "star_plus_tail.txt"
+        path.write_text(edges_to_text(STAR_PLUS_TAIL_EDGES))
+        assert main(["sweep", "--grid", "0.2,0.4", str(path)]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "delta_star,rho_deg,rho_ec,rho_pr,rho_katz,rho_epg"
         assert len(lines) == 3
 

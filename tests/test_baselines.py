@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pgain import (
+    Graph,
     ParameterError,
     communicability_vector,
     degree_centrality,
@@ -73,6 +74,13 @@ class TestPagerank:
             pagerank(k3, alpha=1.0)
         with pytest.raises(ParameterError):
             pagerank(k3, alpha=0.0)
+
+    def test_iteration_cap_domain(self, k3):
+        with pytest.raises(ParameterError, match="max_iter must be at least 1"):
+            pagerank(k3, max_iter=0)
+
+    def test_empty_graph(self):
+        assert pagerank(Graph.from_edges([])).scores.shape == (0,)
 
 
 class TestCommunicability:

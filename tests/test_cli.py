@@ -11,7 +11,6 @@ import pytest
 import pgain
 from pgain import (
     GainParams,
-    Graph,
     exponential_potential_gain,
     geometric_potential_gain,
     katz_centrality,
@@ -22,7 +21,6 @@ from pgain import (
 from pgain import cli
 from pgain.cli import METRICS, main
 from pgain.generate import barabasi_albert_edges, complete_edges, edges_to_text
-from pgain.vectors import CentralityVector
 
 from conftest import count_spmv
 
@@ -285,10 +283,8 @@ class TestComputeSharedWork:
         rng = np.random.default_rng(n)
         scores = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
         labels = tuple(f"node{i}" for i in range(n))
-        g = Graph(indptr=np.zeros(n + 1, dtype=np.int64),
-                  indices=np.zeros(0, dtype=np.int64), labels=labels)
         path = tmp_path / "out.csv"
-        cli._write_scores(path, g, CentralityVector(scores, "x"), "csv")
+        cli._write_csv(path, "node,score", "%s,%.17g", labels, scores)
         lines = ["node,score"]
         lines += [f"{label},{score:.17g}" for label, score in zip(labels, scores)]
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
@@ -380,6 +376,43 @@ class TestConvergence:
         assert [k for k, _ in payload["points"]] == [1, 2, 3, 4, 5]
 
 
+def test_json_payloads_hold_json_types_only(ba_file, tmp_path, monkeypatch):
+    # the CLI hands each payload, params included, to json.dumps as it is:
+    # a numpy scalar there would be written as a float or not at all
+    payloads = []
+    dumps = json.dumps
+
+    def spy(obj, **kwargs):
+        payloads.append(obj)
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", spy)
+    out = str(tmp_path / "out")
+    for args in (
+        ["compute", "--metric", "all", "--out", out],
+        ["compute", "--metric", "katz", "--delta", "0.01", "--max-k", "3",
+         "--out", out],
+        ["sweep", "--grid", "0.5", "--out", f"{out}/sweep.json"],
+        ["convergence", "--metric", "gpg", "--out", f"{out}/gpg.json"],
+        ["convergence", "--metric", "epg", "--max-k", "4",
+         "--out", f"{out}/epg.json"],
+    ):
+        assert main([*args, "--format", "json", str(ba_file)]) in (0, 3)
+
+    def leaves(value):
+        if isinstance(value, dict):
+            assert all(type(key) is str for key in value)
+            value = list(value.values())
+        if type(value) in (list, tuple):
+            return [leaf for item in value for leaf in leaves(item)]
+        return [value]
+
+    assert len(payloads) == 10
+    assert sum("params" in payload for payload in payloads) == 9
+    types = {type(leaf) for payload in payloads for leaf in leaves(payload)}
+    assert types <= {type(None), bool, int, float, str}, types
+
+
 @pytest.mark.parametrize("command", [
     ["compute", "--metric", "gpg"],
     ["convergence", "--metric", "gpg"],
@@ -408,6 +441,9 @@ def test_empty_file_is_parameter_error(tmp_path, capsys, command):
      "delta must be positive"),
     (["convergence", "--metric", "gpg", "--delta-star", "1.5"],
      "delta_star must lie in (0, 1)"),
+    (["spectral", "--tol", "nan"], "tolerance must be finite and positive"),
+    (["spectral", "--tol", "-1"], "tolerance must be finite and positive"),
+    (["spectral", "--max-iter", "0"], "max_iter must be at least 1"),
 ], ids=lambda case: "-".join(a.lstrip("-") for a in case[0]))
 def test_bad_parameter_is_rejected_before_reading(tmp_path, capsys, monkeypatch,
                                                   case):
@@ -452,6 +488,12 @@ class TestGenerate:
         assert a.read_bytes() == b.read_bytes()
         assert a.stat().st_size > 0
 
+    def test_er_edge_probability_bounds(self, capsys):
+        for params, out in ((["5", "0"], ""), (["1", "1"], ""),
+                            (["3", "1"], "0 1\n0 2\n1 2\n")):
+            assert main(["generate", "er", *params]) == 0
+            assert capsys.readouterr().out == out
+
     def test_ba_edge_count(self, tmp_path):
         out = tmp_path / "ba.txt"
         assert main(["generate", "ba", "200", "3", "--seed", "2",
@@ -460,11 +502,19 @@ class TestGenerate:
         assert len(out.read_text().strip().split("\n")) == 594
 
     def test_bad_params(self, capsys):
-        assert main(["generate", "grid", "3"]) == 2
+        # one arity rule for every kind: extra parameters are an error too
+        for params in (["grid", "3"], ["er", "5", "0.5", "junk"], ["er", "5"],
+                       ["er", "5", "2"], ["ba", "5", "2", "junk"],
+                       ["ba", "2", "3"], ["star", "0"], ["complete", "x"]):
+            assert main(["generate", *params]) == 2
+            assert capsys.readouterr().err.startswith(
+                f"pgain: error: bad parameters for {params[0]!r}")
 
     def test_ring_and_grid(self, capsys):
         assert main(["generate", "ring", "5"]) == 0
         assert len(capsys.readouterr().out.strip().split("\n")) == 5
+        assert main(["generate", "star", "4"]) == 0
+        assert capsys.readouterr().out == "0 1\n0 2\n0 3\n0 4\n"
         assert main(["generate", "grid", "2", "3"]) == 0
         assert len(capsys.readouterr().out.strip().split("\n")) == 7
 

@@ -22,6 +22,7 @@ import oracle
 from pgain import gain
 from pgain.gain import _norm, _run_series
 from pgain.generate import complete_edges
+from pgain.vectors import CentralityVector
 
 from conftest import ba_graph, er_graph, rel_err
 
@@ -218,6 +219,9 @@ class TestProperties:
         g = Graph.from_edges([(0, 0), (1, 1)])
         assert np.array_equal(geometric_potential_gain(g).scores, np.zeros(2))
         assert np.array_equal(exponential_potential_gain(g).scores, np.zeros(2))
+        for kind in ("geometric", "exponential"):
+            # the first term is zero, so is the reference: one exact term
+            assert gain_with_trace(g, kind=kind)[1].errors == ((1, 0.0),)
 
 
 class TestParameterValidation:
@@ -248,6 +252,21 @@ class TestParameterValidation:
     def test_need_some_stop_rule(self):
         with pytest.raises(ParameterError):
             GainParams(tolerance=None)
+        with pytest.raises(ParameterError, match="at least 1"):
+            GainParams(max_walk_length=0)
+
+    @pytest.mark.parametrize("lambda1", [-1.0, math.nan])
+    def test_bad_lambda1_rejected(self, k3, lambda1):
+        with pytest.raises(ParameterError, match="lambda1 must be finite"):
+            geometric_potential_gain(k3, lambda1=lambda1)
+
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ParameterError, match="empty graph"):
+            geometric_potential_gain(Graph.from_edges([]))
+
+    def test_unknown_trace_kind_rejected(self, k3):
+        with pytest.raises(ParameterError, match="unknown gain kind"):
+            gain_with_trace(k3, kind="harmonic")
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
     def test_non_finite_tolerance_rejected(self, k3, tol):
@@ -363,6 +382,19 @@ class TestOverflow:
         assert _norm(np.array([1.0, 2.0])) == np.linalg.norm([1.0, 2.0])
         assert _norm(np.array([np.inf, 1.0])) == np.inf
         assert np.isnan(_norm(np.array([np.nan, 1.0])))
+
+    def test_huge_terms_warn(self, k3):
+        # terms of norm 1.6e300 pass TERM_NORM_WARN; the sum, 1e301 per
+        # node, is still finite
+        with pytest.warns(RuntimeWarning, match="intermediate term norm"):
+            scores, _, reason = _run_series(
+                k3, "geometric", np.full(3, 1e300), 0.45, GainParams(), 2.0)
+        assert reason == "tolerance"
+        np.testing.assert_allclose(scores, np.full(3, 1e301), rtol=1e-9)
+
+    def test_non_finite_scores_are_rejected(self):
+        with pytest.raises(PgainError, match="x: non-finite scores"):
+            CentralityVector(np.array([1.0, math.inf]), "x")
 
     def test_k400_epg_matches_closed_form(self):
         # lambda1 = 399: the accumulator's squared norm overflows, the
