@@ -40,7 +40,8 @@ def katz_centrality(
 ) -> CentralityVector:
     """(I - delta A)^(-1) 1 as 1 + delta * GPG, scores >= 1 everywhere.
 
-    Requires delta in (0, 1/lambda1); lambda1 is estimated when not given.
+    Requires delta in (0, 1/lambda1); lambda1 is checked, or estimated when
+    not given (0 without edges), as for the gains; an empty graph raises.
     The GPG series stops once its tail bound is below ``tolerance`` times
     its sum, or after ``max_iter`` terms. ``iterations_used`` counts its
     SpMVs (one per term, at most ``max_iter``), and ``converged`` means the
@@ -50,10 +51,7 @@ def katz_centrality(
     _check_args(tolerance, max_iter)
     params = GainParams(delta=delta, max_walk_length=max_iter,
                         tolerance=tolerance)
-    lam, lam_converged = 0.0, True
-    if g.edge_count > 0:
-        lam, lam_converged = _lambda1(g, lambda1)
-    return _katz(_gain(g, "geometric", params, lam, lam_converged))
+    return _katz(_gain(g, "geometric", params, *_lambda1(g, lambda1)))
 
 
 def pagerank(

@@ -155,9 +155,7 @@ def _cmd_compute(args) -> int:
     params = _gain_params(args)
     max_iter = args.max_k if args.max_k is not None else DEFAULT_MAX_ITER
     baselines._check_args(args.tol, max_iter, args.alpha)
-    graph = parse_edge_list(args.input)
-    if graph.node_count == 0:
-        raise ParameterError("empty graph")
+    graph = _read_graph(args.input)
     wanted = METRICS if args.metric == "all" else (args.metric,)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -210,6 +208,14 @@ def _cmd_compute(args) -> int:
     return EXIT_OK if all_converged else EXIT_NOT_CONVERGED
 
 
+def _read_graph(path) -> Graph:
+    """The graph of the edge list at ``path``, which must not be empty."""
+    graph = parse_edge_list(path)
+    if graph.node_count == 0:
+        raise ParameterError("empty graph")
+    return graph
+
+
 def _gain_params(args) -> GainParams:
     if args.max_k is not None and args.max_k < 1:
         raise ParameterError("--max-k must be at least 1")
@@ -227,7 +233,7 @@ def _cmd_sweep(args) -> int:
                                  f" got {args.grid!r}") from None
     # every parameter is checked before the input is read
     grid = analysis._check_sweep(grid, args.alpha, args.tol)
-    graph = parse_edge_list(args.input)
+    graph = _read_graph(args.input)
     warnings: list[str] = []
     result = analysis.delta_sweep(
         graph, grid=grid, alpha=args.alpha, tolerance=args.tol,
@@ -259,9 +265,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_convergence(args) -> int:
     params = _gain_params(args)  # checked before the input is read
-    graph = parse_edge_list(args.input)
-    if graph.node_count == 0:
-        raise ParameterError("empty graph")
+    graph = _read_graph(args.input)
     kind = "geometric" if args.metric == "gpg" else "exponential"
     vector, trace = gain_with_trace(graph, params, kind=kind)
     if args.format == "csv":
@@ -286,17 +290,20 @@ def _cmd_generate(args) -> int:
         if len(args.params) != len(types):
             raise ValueError
         edges = make(*(cast(value) for cast, value in zip(types, args.params)))
-    except ValueError:
-        print(f"pgain: error: bad parameters for {args.kind!r}: {args.params}",
-              file=sys.stderr)
+    except ValueError as exc:  # the library's reason, when it gave one
+        reason = f": {exc}" if isinstance(exc, ParameterError) else ""
+        print(f"pgain: error: bad parameters for {args.kind!r}: {args.params}"
+              f"{reason}", file=sys.stderr)
         return EXIT_PARAMS
     _emit(args.out, generate.edges_to_text(edges))
     return EXIT_OK
 
 
 def _cmd_spectral(args) -> int:
-    baselines._check_args(args.tol, args.max_iter)  # before the input is read
-    graph = parse_edge_list(args.input)
+    if args.max_iter < 1:  # checked before the input is read
+        raise ParameterError("--max-iter must be at least 1")
+    baselines._check_args(args.tol, args.max_iter)
+    graph = _read_graph(args.input)
     [estimate] = lanczos(graph, [(args.tol, args.max_iter)], eigenvectors=False)
     print(
         f"lambda1={estimate.lambda1:.17g} residual={estimate.residual:.6g}"

@@ -2,9 +2,10 @@
 
 Graphs are built from whitespace-separated edge lists (KONECT-style ``%`` or
 ``#`` comment lines are skipped). Node labels are arbitrary tokens mapped to
-contiguous internal indices in first-seen order; self-loops are dropped (and
-counted) and duplicate edges collapsed, so the adjacency matrix is always a
-symmetric 0/1 matrix. Instances are immutable and safe for concurrent reads.
+contiguous internal indices in first-seen order. ``Graph._from_index_pairs``
+alone drops (and counts) self-loops and collapses (and counts) duplicates, so
+the adjacency matrix is always a symmetric 0/1 matrix. Instances are
+immutable and safe for concurrent reads.
 
 A file path is read by a vectorised reader when the file is plain ASCII: numpy
 finds the first two tokens of each line block by block, packs them into
@@ -85,39 +86,34 @@ class Graph:
     def from_edges(cls, pairs: Iterable[tuple[object, object]]) -> "Graph":
         """Build a Graph from (label, label) pairs.
 
-        Labels are coerced to ``str`` and indexed in first-seen order.
-        Self-loops are dropped (counted), duplicates collapsed.
+        Labels are coerced to ``str`` and indexed in first-seen order; every
+        pair, a loop too, goes to ``_from_index_pairs``.
         """
         index: dict[str, int] = {}
         us: list[int] = []
         vs: list[int] = []
-        loops = 0
         for a, b in pairs:
-            ia = index.setdefault(str(a), len(index))
-            ib = index.setdefault(str(b), len(index))
-            if ia == ib:
-                loops += 1
-                continue
-            us.append(ia)
-            vs.append(ib)
-        labels = tuple(index)
-        return cls._from_index_pairs(
-            np.asarray(us, dtype=np.int64),
-            np.asarray(vs, dtype=np.int64),
-            labels,
-            self_loops_dropped=loops,
-        )
+            us.append(index.setdefault(str(a), len(index)))
+            vs.append(index.setdefault(str(b), len(index)))
+        return cls._from_index_pairs(np.asarray(us, dtype=np.int64),
+                                     np.asarray(vs, dtype=np.int64),
+                                     tuple(index))
 
     @classmethod
-    def _from_index_pairs(cls, us, vs, labels, self_loops_dropped=0) -> "Graph":
-        # Each undirected edge is the packed key lo*n + hi; sorting the keys
-        # orders the pairs lexicographically, so one sort deduplicates and
+    def _from_index_pairs(cls, us, vs, labels) -> "Graph":
+        """The graph of the pairs (us[i], vs[i]) of indices into ``labels``,
+        loops included: loops are dropped, duplicates collapsed, both counted."""
+        # Each undirected edge is the packed key lo*n + hi and a loop the key
+        # -1, so one sort puts the loops first and equal edges side by side;
         # a second sort of both directions yields the CSR rows in order.
         n = len(labels)
         key = np.minimum(us, vs) * n + np.maximum(us, vs)
+        key[us == vs] = -1
         key.sort()
+        loops = int(np.searchsorted(key, 0))
+        key = key[loops:]
         key = key[np.diff(key, prepend=-1) != 0]
-        dupes = len(us) - key.size
+        dupes = len(us) - loops - key.size
         # both = [hi * n + lo, key] for key = lo * n + hi, built in place:
         # on large inputs the parse's peak memory is reached here
         both = np.empty(2 * key.size, dtype=np.int64)
@@ -135,7 +131,7 @@ class Graph:
             indptr=indptr,
             indices=indices,
             labels=labels,
-            self_loops_dropped=self_loops_dropped,
+            self_loops_dropped=loops,
             duplicates_collapsed=dupes,
         )
 
@@ -210,8 +206,8 @@ def parse_edge_list(source: str | Path | TextIO | Iterable[str]) -> Graph:
     ``source`` may be a path or an open text stream / iterable of lines. Each
     non-comment, non-blank line must hold at least two tokens (the endpoints);
     trailing fields such as weights or timestamps are ignored. Blank lines are
-    skipped. Empty input yields the empty graph. Loop lines are dropped and
-    counted; their endpoint still registers its node.
+    skipped. Empty input yields the empty graph. ``Graph._from_index_pairs``
+    drops and counts loop lines, whose endpoint still registers its node.
 
     A path is first read by the vectorised ASCII reader; whatever it cannot
     take exactly goes through the line reader, which gives the same graph
@@ -284,8 +280,7 @@ def _parse_ascii_file(path) -> Graph | None:
     if columns is None:
         return None
     if not columns:
-        empty = np.zeros(0, dtype=np.int64)
-        return Graph._from_index_pairs(empty, empty, ())
+        return Graph.from_edges([])
     grouped = _group_tokens(columns)
     if grouped is None:
         return None
@@ -302,13 +297,7 @@ def _parse_ascii_file(path) -> Graph | None:
     ids = np.empty(order.size, dtype=np.int64)
     ids[order] = node[group]
     del order, group
-    us, vs = ids[0::2], ids[1::2]
-    loop = us == vs
-    loops = int(np.count_nonzero(loop))
-    if loops:
-        us, vs = us[~loop], vs[~loop]
-    del ids, loop
-    return Graph._from_index_pairs(us, vs, labels, self_loops_dropped=loops)
+    return Graph._from_index_pairs(ids[0::2], ids[1::2], labels)
 
 
 def _read_endpoint_words(handle) -> list[np.ndarray] | None:
@@ -346,14 +335,8 @@ def _line_blocks(handle) -> Iterator[np.ndarray]:
 
 
 def _padded(parts) -> np.ndarray:
-    size = sum(len(part) for part in parts)
-    out = np.zeros(1 + size + _PAD, dtype=np.uint8)
-    out[0] = ord("\n")  # so that the first line starts after a newline
-    pos = 1
-    for part in parts:
-        out[pos : pos + len(part)] = np.frombuffer(part, dtype=np.uint8)
-        pos += len(part)
-    return out
+    # the leading newline starts the first line; the block is only read
+    return np.frombuffer(b"".join([b"\n", *parts, bytes(_PAD)]), dtype=np.uint8)
 
 
 def _endpoint_words(padded: np.ndarray) -> list[np.ndarray] | None:

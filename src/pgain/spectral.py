@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -82,16 +82,19 @@ def lanczos(
 def _lanczos(g, rules, eigenvectors, decays=None, katz_tol=None):
     """``lanczos``, and the Katz vectors at ``decays(lambda1)`` (lambda1 of
     the last rule to stop) to ``katz_tol``: 2 max(m, max m_j) - 1 SpMVs in
-    all, m the steps of lambda1, or 2 max m_j - 1 more after a restart.
-    Returns both."""
+    all, m the steps of lambda1; after a restart, max m_j - 1 more for the
+    replay from the uniform vector, and max m_j more if the Katz solve
+    needs steps past the first cycle. Returns both. An empty graph raises
+    ``ParameterError``."""
     for tol, max_iter in rules:
         if not 0 < tol < math.inf:
-            raise ParameterError(f"tol must be finite and positive, got {tol}")
+            raise ParameterError(
+                f"tolerance must be finite and positive, got {tol}")
         if max_iter < 1:
             raise ParameterError("max_iter must be at least 1")
     n = g.node_count
     if n == 0:
-        raise ParameterError("empty graph has no spectrum")
+        raise ParameterError("empty graph")
 
     uniform = start = 1.0 / math.sqrt(n)  # later a Ritz vector
     buffers = [np.empty(n) for _ in range(3)]  # q_prev, q, w
@@ -123,15 +126,18 @@ def _lanczos(g, rules, eigenvectors, decays=None, katz_tol=None):
             active = [j for j in active if j not in stops]
             if not active or m == KRYLOV_DIM:
                 break
+        if not spent:  # the uniform vector's steps, which a restart overwrites
+            first = np.diag(tri)[:m].tolist(), np.diag(tri, -1)[:m].tolist()
         wanted = [stop[0] for stop in stops.values()] if eigenvectors else []
         wanted += [s] if active else []  # the restart vector
         solved, katz_vectors = [], []  # Katz coefficients and vectors
         if decays is not None and not active:
-            # T_m holds the uniform vector's steps unless a restart came first
-            stored = zip(np.diag(tri)[:m].tolist(), np.diag(tri, -1)[:m].tolist())
-            steps = (_recurrence(g, uniform, buffers) if spent
-                     else chain(stored, recurrence))
-            solved = _katz_solve(steps, n, decays(theta), theta, katz_tol)
+            # after a restart, a fresh recurrence from the uniform vector
+            # runs only if the solve needs steps past the first cycle
+            rest = (islice(_recurrence(g, uniform, buffers), KRYLOV_DIM, None)
+                    if spent else recurrence)
+            solved = _katz_solve(chain(zip(*first), rest), n, decays(theta),
+                                 theta, katz_tol)
             if spent:  # the replay below starts from a Ritz vector
                 katz_vectors, solved = _replay(g, uniform, solved, buffers), []
         sums = _replay(g, start, wanted + solved, buffers)

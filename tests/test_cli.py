@@ -417,11 +417,19 @@ def test_json_payloads_hold_json_types_only(ba_file, tmp_path, monkeypatch):
     ["compute", "--metric", "gpg"],
     ["convergence", "--metric", "gpg"],
     ["convergence", "--metric", "epg"],
+    ["sweep"],
+    ["spectral"],
+    ["compute", "--metric", "deg"],
 ], ids=lambda c: "-".join(a.lstrip("-") for a in c))
 def test_empty_file_is_parameter_error(tmp_path, capsys, command):
+    # every command that reads an edge list rejects an empty one in the
+    # same words
     path = tmp_path / "empty.txt"
     path.write_text("")
-    assert main([*command, str(path), "--out", str(tmp_path / "out")]) == 2
+    args = [*command, str(path)]
+    if command[0] != "spectral":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 2
     assert capsys.readouterr().err == "pgain: error: empty graph\n"
     assert not (tmp_path / "out").is_file()
 
@@ -443,7 +451,7 @@ def test_empty_file_is_parameter_error(tmp_path, capsys, command):
      "delta_star must lie in (0, 1)"),
     (["spectral", "--tol", "nan"], "tolerance must be finite and positive"),
     (["spectral", "--tol", "-1"], "tolerance must be finite and positive"),
-    (["spectral", "--max-iter", "0"], "max_iter must be at least 1"),
+    (["spectral", "--max-iter", "0"], "--max-iter must be at least 1"),
 ], ids=lambda case: "-".join(a.lstrip("-") for a in case[0]))
 def test_bad_parameter_is_rejected_before_reading(tmp_path, capsys, monkeypatch,
                                                   case):
@@ -502,13 +510,20 @@ class TestGenerate:
         assert len(out.read_text().strip().split("\n")) == 594
 
     def test_bad_params(self, capsys):
-        # one arity rule for every kind: extra parameters are an error too
+        # one arity rule for every kind: extra parameters are an error too;
+        # the library's reason, where it gave one, follows the parameters
+        reasons = {"er 5 2": "edge probability must lie in [0, 1], got 2.0",
+                   "ba 2 3": "need n >= m0 + 1, got n=2, m0=3"}
         for params in (["grid", "3"], ["er", "5", "0.5", "junk"], ["er", "5"],
                        ["er", "5", "2"], ["ba", "5", "2", "junk"],
                        ["ba", "2", "3"], ["star", "0"], ["complete", "x"]):
             assert main(["generate", *params]) == 2
-            assert capsys.readouterr().err.startswith(
+            err = capsys.readouterr().err
+            assert err.startswith(
                 f"pgain: error: bad parameters for {params[0]!r}")
+            if " ".join(params) in reasons:
+                assert err.endswith(
+                    f": {params[1:]}: {reasons[' '.join(params)]}\n"), err
 
     def test_ring_and_grid(self, capsys):
         assert main(["generate", "ring", "5"]) == 0

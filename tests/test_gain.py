@@ -255,14 +255,22 @@ class TestParameterValidation:
         with pytest.raises(ParameterError, match="at least 1"):
             GainParams(max_walk_length=0)
 
-    @pytest.mark.parametrize("lambda1", [-1.0, math.nan])
-    def test_bad_lambda1_rejected(self, k3, lambda1):
+    @pytest.mark.parametrize("gain, lambda1", [
+        (lambda k3, lam: geometric_potential_gain(k3, lambda1=lam), -1.0),
+        (lambda k3, lam: geometric_potential_gain(k3, lambda1=lam), math.nan),
+        # Katz takes lambda1 through the same check, on an edgeless graph too
+        (lambda k3, lam: katz_centrality(Graph.from_edges([(0, 0)]), 0.5,
+                                         lambda1=lam), math.nan),
+    ], ids=["-1.0", "nan", "katz-edgeless-nan"])
+    def test_bad_lambda1_rejected(self, k3, gain, lambda1):
         with pytest.raises(ParameterError, match="lambda1 must be finite"):
-            geometric_potential_gain(k3, lambda1=lambda1)
+            gain(k3, lambda1)
 
     def test_empty_graph_rejected(self):
-        with pytest.raises(ParameterError, match="empty graph"):
-            geometric_potential_gain(Graph.from_edges([]))
+        for gain in (geometric_potential_gain,
+                     lambda g: katz_centrality(g, 0.5)):
+            with pytest.raises(ParameterError, match="empty graph"):
+                gain(Graph.from_edges([]))
 
     def test_unknown_trace_kind_rejected(self, k3):
         with pytest.raises(ParameterError, match="unknown gain kind"):

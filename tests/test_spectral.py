@@ -67,7 +67,8 @@ class TestLambda1:
             solve(Graph.from_edges([]))
 
     def test_bad_args(self, k3):
-        with pytest.raises(ParameterError):
+        # the words GainParams uses for a tolerance
+        with pytest.raises(ParameterError, match="tolerance must be finite"):
             solve(k3, tol=0.0)
         with pytest.raises(ParameterError):
             solve(k3, max_iter=0)
