@@ -15,7 +15,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from pgain import baselines, spectral
-from pgain.errors import ParameterError, UndefinedCorrelationError
+from pgain.errors import (ParameterError, UndefinedCorrelationError,
+                          check_tolerance, check_unit_interval)
 from pgain.gain import DEFAULT_TOLERANCE, GainParams, exponential_potential_gain
 from pgain.graph import Graph
 
@@ -145,14 +146,15 @@ def delta_sweep(
 
 
 def _check_sweep(grid, alpha, tolerance) -> np.ndarray:
-    """The grid (None for ``DEFAULT_GRID``) as an array, once it and
-    PageRank's tolerance and alpha have been checked."""
-    baselines._check_args(tolerance, spectral.DEFAULT_MAX_ITER, alpha)
+    """The grid (None for ``DEFAULT_GRID``) as an array, once it, the
+    tolerance and PageRank's alpha have been checked."""
+    check_tolerance(tolerance)
+    check_unit_interval(alpha, "alpha")
     grid = np.asarray(DEFAULT_GRID if grid is None else grid, dtype=np.float64)
-    if grid.size == 0 or np.any(grid <= 0) or np.any(grid >= 1):
-        raise ParameterError("grid values must lie strictly inside (0, 1)")
-    if np.any(np.diff(grid) <= 0):
-        raise ParameterError("grid must be strictly ascending")
+    for star in grid.tolist():
+        check_unit_interval(star, "grid value")
+    if grid.size == 0 or np.any(np.diff(grid) <= 0):
+        raise ParameterError("grid must be strictly ascending and non-empty")
     return grid
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from pgain.errors import ParameterError
+from pgain.errors import check_cap, check_tolerance, check_unit_interval
 from pgain.gain import (DEFAULT_TOLERANCE, GainParams, _converged, _gain,
                         _katz, _lambda1, _run_series)
 from pgain.graph import Graph
@@ -48,7 +48,7 @@ def katz_centrality(
     tolerance rule stopped it and the lambda1 estimate, if made here,
     converged.
     """
-    _check_args(tolerance, max_iter)
+    check_cap(max_iter, "max_iter")
     params = GainParams(delta=delta, max_walk_length=max_iter,
                         tolerance=tolerance)
     return _katz(_gain(g, "geometric", params, *_lambda1(g, lambda1)))
@@ -64,7 +64,9 @@ def pagerank(
 
     Degree-0 nodes (possible only via dropped self-loops) teleport uniformly.
     """
-    _check_args(tolerance, max_iter, alpha)
+    check_tolerance(tolerance)
+    check_cap(max_iter, "max_iter")
+    check_unit_interval(alpha, "alpha")
     n = g.node_count
     if n == 0:
         return CentralityVector(np.zeros(0), "pr", {"alpha": alpha})
@@ -107,7 +109,7 @@ def communicability_vector(
     ``iterations_used`` counts; ``converged`` means the tolerance rule
     stopped it. A series that overflows raises.
     """
-    _check_args(tolerance, max_iter)
+    check_cap(max_iter, "max_iter")
     params = GainParams(max_walk_length=max_iter + 1, tolerance=tolerance)
     scores, terms, reason = _run_series(
         g, "exponential", np.ones(g.node_count), None, params)
@@ -120,14 +122,3 @@ def communicability_vector(
         converged=reason == "tolerance",
         stop_reason=reason,
     )
-
-
-def _check_args(tolerance: float, max_iter: int,
-                alpha: float = DEFAULT_ALPHA) -> None:
-    """Raise ``ParameterError`` for a tolerance that ``GainParams``
-    rejects, an iteration cap below 1 or a PageRank alpha outside (0, 1)."""
-    GainParams(tolerance=tolerance)
-    if max_iter < 1:
-        raise ParameterError("max_iter must be at least 1")
-    if not 0 < alpha < 1:
-        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")

@@ -33,7 +33,8 @@ import numpy as np
 
 from pgain import analysis, baselines, generate
 from pgain.baselines import DEFAULT_ALPHA
-from pgain.errors import ParameterError, PgainError, SeriesOverflowError
+from pgain.errors import (ParameterError, PgainError, SeriesOverflowError,
+                          check_cap, check_tolerance, check_unit_interval)
 from pgain.gain import (
     DEFAULT_TOLERANCE,
     GainParams,
@@ -153,8 +154,8 @@ def _summary(graph: Graph, lam: float, vector: CentralityVector,
 def _cmd_compute(args) -> int:
     # every parameter is checked, whether or not a wanted metric reads it
     params = _gain_params(args)
+    check_unit_interval(args.alpha, "alpha")
     max_iter = args.max_k if args.max_k is not None else DEFAULT_MAX_ITER
-    baselines._check_args(args.tol, max_iter, args.alpha)
     graph = _read_graph(args.input)
     wanted = METRICS if args.metric == "all" else (args.metric,)
     out_dir = Path(args.out)
@@ -217,8 +218,8 @@ def _read_graph(path) -> Graph:
 
 
 def _gain_params(args) -> GainParams:
-    if args.max_k is not None and args.max_k < 1:
-        raise ParameterError("--max-k must be at least 1")
+    if args.max_k is not None:
+        check_cap(args.max_k, "--max-k")
     return GainParams(delta=args.delta, delta_star=args.delta_star,
                       max_walk_length=args.max_k, tolerance=args.tol)
 
@@ -300,9 +301,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
-    if args.max_iter < 1:  # checked before the input is read
-        raise ParameterError("--max-iter must be at least 1")
-    baselines._check_args(args.tol, args.max_iter)
+    check_cap(args.max_iter, "--max-iter")  # checked before the input is read
+    check_tolerance(args.tol)
     graph = _read_graph(args.input)
     [estimate] = lanczos(graph, [(args.tol, args.max_iter)], eigenvectors=False)
     print(

@@ -1,3 +1,13 @@
+"""pgain's exceptions, and the three input rules of the library and the CLI:
+a tolerance is finite and positive, an iteration or walk-length cap is an
+integer >= 1 (numpy integers count), and delta_star, alpha and each sweep
+grid value lie strictly inside (0, 1) (NaN fails). Each rule raises
+``ParameterError`` in the words its caller passes: a keyword or an option."""
+
+import math
+import numbers
+
+
 class PgainError(Exception):
     """Base class for all pgain errors."""
 
@@ -22,3 +32,21 @@ class UndefinedCorrelationError(PgainError, ValueError):
 
 class SeriesOverflowError(PgainError):
     """A walk series overflowed float64: its sum is not representable."""
+
+
+def check_tolerance(value) -> None:
+    if not 0 < value < math.inf:
+        raise ParameterError(
+            f"tolerance must be finite and positive, got {value}")
+
+
+def check_cap(value, name: str) -> None:
+    if not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ParameterError(f"{name} must be at least 1")
+
+
+def check_unit_interval(value, name: str) -> None:
+    if not 0 < value < 1:
+        raise ParameterError(f"{name} must lie in (0, 1), got {value}")

@@ -30,20 +30,19 @@ log(delta_star) terms.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from pgain import spectral
-from pgain.errors import ParameterError, SeriesOverflowError
+from pgain.errors import (ParameterError, SeriesOverflowError, check_cap,
+                          check_tolerance, check_unit_interval)
 from pgain.graph import Graph
 from pgain.vectors import CentralityVector, ConvergenceTrace
 
 DEFAULT_DELTA_STAR = 0.5  # the classic Katz choice delta = 1/(2*lambda1)
 DEFAULT_TOLERANCE = 1e-12
 SAFETY_MAX_TERMS = 1_000_000
-TERM_NORM_WARN = 1e300
 
 
 @dataclass(frozen=True)
@@ -69,18 +68,14 @@ class GainParams:
             not math.isfinite(self.delta) or self.delta <= 0
         ):
             raise ParameterError(f"delta must be positive, got {self.delta}")
-        if self.delta_star is not None and not 0 < self.delta_star < 1:
-            raise ParameterError(
-                f"delta_star must lie in (0, 1), got {self.delta_star}"
-            )
+        if self.delta_star is not None:
+            check_unit_interval(self.delta_star, "delta_star")
         if self.max_walk_length is None and self.tolerance is None:
             raise ParameterError("need max_walk_length or tolerance (or both)")
-        if self.max_walk_length is not None and self.max_walk_length < 1:
-            raise ParameterError("max_walk_length must be at least 1")
-        if self.tolerance is not None and not 0 < self.tolerance < math.inf:
-            raise ParameterError(
-                f"tolerance must be finite and positive, got {self.tolerance}"
-            )
+        if self.max_walk_length is not None:
+            check_cap(self.max_walk_length, "max_walk_length")
+        if self.tolerance is not None:
+            check_tolerance(self.tolerance)
 
     def resolve_delta(self, lambda1: float) -> float:
         """Concrete delta, validated against 1/lambda1."""
@@ -96,16 +91,6 @@ class GainParams:
             # Edgeless graph: the series is identically zero, decay is moot.
             return star
         return star / lambda1
-
-    def snapshot(self, **extra) -> dict:
-        out = {
-            "delta": self.delta,
-            "delta_star": self.delta_star,
-            "max_walk_length": self.max_walk_length,
-            "tolerance": self.tolerance,
-        }
-        out.update(extra)
-        return out
 
 
 def geometric_potential_gain(
@@ -183,7 +168,7 @@ def _gain(g, kind, params, lambda1=None, lambda1_converged=True,
     decay against ``lambda1`` and is converged only if ``lambda1_converged``
     is too; ``"exponential"`` ignores both. ``per_term`` goes to
     ``_run_series``. A series that overflows raises."""
-    delta, snapshot = None, params.snapshot(delta=None, delta_star=None)
+    delta, snapshot = None, dict(asdict(params), delta=None, delta_star=None)
     if kind == "geometric":
         delta = params.resolve_delta(lambda1)
         snapshot.update(delta=delta, delta_star=delta * lambda1,
@@ -246,7 +231,6 @@ def _run_series(g, kind, first, delta, params, lambda1=None, per_term=None):
     acc = term.copy()
     spare = np.empty_like(term)  # ping-pong buffer: no allocation per term
     k = 1
-    max_term_norm = 0.0
     if per_term is not None:
         per_term(k, acc)
 
@@ -266,7 +250,6 @@ def _run_series(g, kind, first, delta, params, lambda1=None, per_term=None):
             term, spare = spare, term
             term_norm = _norm(term)
             k += 1
-            max_term_norm = max(max_term_norm, term_norm)
             acc += term
             acc_norm = _norm(acc)
             if not math.isfinite(acc_norm):
@@ -277,12 +260,6 @@ def _run_series(g, kind, first, delta, params, lambda1=None, per_term=None):
                 per_term(k, acc)
     if reason is None:
         reason = "max_k" if params.max_walk_length is not None else "safety_cap"
-    if max_term_norm > TERM_NORM_WARN and reason != "nonfinite":  # callers raise then
-        warnings.warn(
-            f"{kind} series: intermediate term norm reached {max_term_norm:.3g}; "
-            "scores may lose precision",
-            RuntimeWarning,
-        )
     return acc, k, reason
 
 

@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from pgain.errors import ParameterError
+from pgain.errors import ParameterError, check_cap, check_tolerance
 from pgain.graph import Graph
 from pgain.vectors import CentralityVector
 
@@ -87,11 +87,8 @@ def _lanczos(g, rules, eigenvectors, decays=None, katz_tol=None):
     needs steps past the first cycle. Returns both. An empty graph raises
     ``ParameterError``."""
     for tol, max_iter in rules:
-        if not 0 < tol < math.inf:
-            raise ParameterError(
-                f"tolerance must be finite and positive, got {tol}")
-        if max_iter < 1:
-            raise ParameterError("max_iter must be at least 1")
+        check_tolerance(tol)
+        check_cap(max_iter, "max_iter")
     n = g.node_count
     if n == 0:
         raise ParameterError("empty graph")

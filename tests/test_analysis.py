@@ -187,11 +187,15 @@ class TestDeltaSweep:
         assert result.converged and result.lambda1 == lam
         assert len(calls) == expected
 
-    def test_bad_grid_rejected(self, star_plus_tail):
+    def test_bad_grid_rejected(self, star_plus_tail, monkeypatch):
+        calls = count_spmv(monkeypatch)
         with pytest.raises(ParameterError):
             delta_sweep(star_plus_tail, grid=[0.5, 0.2])
         with pytest.raises(ParameterError):
             delta_sweep(star_plus_tail, grid=[0.0, 0.5])
+        with pytest.raises(ParameterError, match="got nan"):
+            delta_sweep(star_plus_tail, grid=[0.5, math.nan])
+        assert calls == []  # every bad grid is rejected before any SpMV
 
 
 def two_cliques():

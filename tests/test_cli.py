@@ -436,8 +436,10 @@ def test_empty_file_is_parameter_error(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("case", [
     (["sweep", "--grid", "0.5,0.2"], "grid must be strictly ascending"),
-    (["sweep", "--grid", "0,0.5"], "grid values must lie strictly inside"),
-    (["sweep", "--grid", "0.5,1"], "grid values must lie strictly inside"),
+    (["sweep", "--grid", "0,0.5"], "grid value must lie in (0, 1), got 0.0"),
+    (["sweep", "--grid", "0.5,1"], "grid value must lie in (0, 1), got 1.0"),
+    (["sweep", "--grid", "0.5,nan"], "grid value must lie in (0, 1), got nan"),
+    (["sweep", "--grid", "nan"], "grid value must lie in (0, 1), got nan"),
     (["sweep", "--grid", "0.2,abc"], "--grid must be comma-separated"),
     (["sweep", "--alpha", "2"], "alpha must lie in (0, 1)"),
     (["sweep", "--tol", "-1"], "tolerance must be finite and positive"),

@@ -16,6 +16,7 @@ from pgain import (
     geometric_potential_gain,
     katz_centrality,
     lanczos,
+    pagerank,
     spearman_rho,
 )
 import oracle
@@ -287,6 +288,18 @@ class TestParameterValidation:
         with pytest.raises(ParameterError, match="finite and positive"):
             lanczos(k3, [(tol, 100)])
 
+    @pytest.mark.parametrize("call", [
+        lambda k3, cap: pagerank(k3, max_iter=cap),
+        lambda k3, cap: katz_centrality(k3, 0.25, max_iter=cap),
+        lambda k3, cap: communicability_vector(k3, max_iter=cap),
+        lambda k3, cap: lanczos(k3, [(1e-10, cap)]),
+        lambda k3, cap: GainParams(max_walk_length=cap),
+    ], ids=["pagerank", "katz", "communicability", "lanczos", "GainParams"])
+    def test_cap_must_be_an_integer(self, k3, call):
+        with pytest.raises(ParameterError, match="must be an integer, got 2.5"):
+            call(k3, 2.5)
+        call(k3, np.int64(3))
+
     def test_max_walk_length_binds(self, k3):
         v = geometric_potential_gain(
             k3, GainParams(delta=0.25, max_walk_length=3, tolerance=1e-12)
@@ -391,12 +404,11 @@ class TestOverflow:
         assert _norm(np.array([np.inf, 1.0])) == np.inf
         assert np.isnan(_norm(np.array([np.nan, 1.0])))
 
-    def test_huge_terms_warn(self, k3):
-        # terms of norm 1.6e300 pass TERM_NORM_WARN; the sum, 1e301 per
-        # node, is still finite
-        with pytest.warns(RuntimeWarning, match="intermediate term norm"):
-            scores, _, reason = _run_series(
-                k3, "geometric", np.full(3, 1e300), 0.45, GainParams(), 2.0)
+    def test_huge_terms_keep_full_precision(self, k3):
+        # terms of norm up to 1.6e300 and a sum of 1e301 per node: every
+        # term is nonnegative, so the finite sum loses no precision
+        scores, _, reason = _run_series(
+            k3, "geometric", np.full(3, 1e300), 0.45, GainParams(), 2.0)
         assert reason == "tolerance"
         np.testing.assert_allclose(scores, np.full(3, 1e301), rtol=1e-9)
 

@@ -230,7 +230,7 @@ class TestAdversarial:
         np.testing.assert_allclose(est.eigenvector, 1 / math.sqrt(3))
 
 
-class TestPowerIterationRules:
+class TestLanczosRules:
     """One Lanczos run with several stop rules equals one call per rule."""
 
     RULES = [
