@@ -1,10 +1,11 @@
 """Spearman rank correlation and the decay sweep.
 
 ``delta_sweep`` costs one Lanczos pass (``spectral._lanczos``) for lambda1,
-the EC column and the Katz vector of every grid value at once, whose step
-count is set by lambda1 or the largest delta_star, one PageRank, one EPG,
-and one SpMV per grid value for GPG = A Katz. Every vector is ranked once
-and each Spearman coefficient is computed from the ranks.
+the EC column, the Katz vector of every grid value and exp(A - theta I) 1
+at once, whose step count is set by lambda1, the largest delta_star or the
+exponential, one PageRank, one SpMV for EPG and one per grid value for
+GPG = A Katz. Every vector is ranked once and each Spearman coefficient is
+computed from the ranks.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from pgain import baselines, spectral
 from pgain.errors import (ParameterError, UndefinedCorrelationError,
                           check_tolerance, check_unit_interval)
-from pgain.gain import DEFAULT_TOLERANCE, GainParams, exponential_potential_gain
+from pgain.gain import DEFAULT_TOLERANCE, GainParams, _gpg_from_katz
 from pgain.graph import Graph
 
 DEFAULT_GRID = tuple(np.linspace(0.1, 0.9, 9))
@@ -81,9 +82,10 @@ def _rho_from_ranks(rx: np.ndarray, ry: np.ndarray) -> float:
 @dataclass(frozen=True)
 class SweepResult:
     """Correlations of the geometric gain against the other metrics, per
-    normalized decay value. ``converged`` is False when the lambda1 solve,
-    PageRank or EPG stopped at its cap, or when the Katz solve at some grid
-    value has no certified error ||r|| / (1 - delta_star) within
+    normalized decay value. ``converged`` is False when the lambda1 solve or
+    PageRank stopped at its cap, when the exponential's error estimate did
+    not meet ``tolerance``, or when the Katz solve at some grid value has
+    no certified error ||r|| / (1 - delta_star) within
     ``tolerance * ||Katz||`` (r = 1 - (I - delta A) Katz, its true
     residual). The CLI writes it as CSV or JSON."""
 
@@ -103,36 +105,41 @@ def delta_sweep(
 ) -> SweepResult:
     """Correlate GPG (and Katz) against the fixed baselines across the grid.
 
-    One Lanczos pass gives lambda1, the EC column and the Katz vector at
-    every delta = delta_star / lambda1, in about twice the steps of lambda1
-    or of the largest delta_star (more when lambda1 restarts).
-    GPG = A Katz (``_grid_gpg``). Katz = 1 + delta * GPG (the identity Katz
-    = 1 + delta A Katz) is strictly increasing in GPG, so the Katz column
-    takes GPG's ranks: it is 1, or undefined where GPG is constant. Each
-    vector is ranked once.
+    One Lanczos pass gives lambda1, the EC column, the Katz vector at
+    every delta = delta_star / lambda1 and u = exp(A - theta I) 1, in about
+    twice the steps of the longest of them (more when lambda1 restarts).
+    GPG = A Katz (``gain._gpg_from_katz``). EPG = e^theta A u has the ranks
+    of A u, which float64 holds whatever lambda1 is. Katz = 1 + delta * GPG
+    (the identity Katz = 1 + delta A Katz) is strictly increasing in GPG, so
+    the Katz column takes GPG's ranks: it is 1, or undefined where GPG is
+    constant. Each vector is ranked once.
     """
     grid = _check_sweep(grid, alpha, tolerance)
 
     def decays(lam):
         return [GainParams(delta_star=float(s)).resolve_delta(lam) for s in grid]
 
-    [spectrum], katz = spectral._lanczos(
-        g, [(spectral.DEFAULT_TOL, spectral.DEFAULT_MAX_ITER)], True, decays,
-        tolerance)
-    lam = spectrum.lambda1
+    # PageRank first, so its temporaries are gone before the pass's vectors
     pr = baselines.pagerank(g, alpha=alpha, tolerance=tolerance)
-    epg = exponential_potential_gain(g, GainParams(tolerance=tolerance))
+    [spectrum], krylov = spectral._lanczos(
+        g, [(spectral.DEFAULT_TOL, spectral.DEFAULT_MAX_ITER)], True, decays,
+        tolerance, exp=True)
+    lam = spectrum.lambda1
+    # A u goes to a buffer the pass freed, and the other two go; once
+    # ranked, A u and u are the GPG products' two free vectors
+    epg = g.spmv(krylov.exp, out=krylov.free.pop())
+    krylov.free.clear()
     fixed_ranks = {
         "deg": average_ranks(g.degrees),
         "ec": average_ranks(spectrum.eigenvector),
         "pr": average_ranks(pr.scores),
-        "epg": average_ranks(epg.scores),
+        "epg": average_ranks(epg),
     }
-    converged = spectrum.converged and pr.converged and epg.converged
+    converged = spectrum.converged and pr.converged and krylov.exp_met
     rho = {c: np.full(grid.size, np.nan) for c in SWEEP_COLUMNS}
-    for row, (star, (gpg, certified)) in enumerate(
-        zip(grid, _grid_gpg(g, katz, decays(lam), lam, tolerance))
-    ):
+    gpgs = _gpg_from_katz(g, krylov.katz, krylov.deltas, lam, tolerance,
+                          [epg, krylov.exp])
+    for row, (star, (gpg, certified)) in enumerate(zip(grid, gpgs)):
         converged &= certified
         gpg_ranks = average_ranks(gpg)
         ranks = dict(fixed_ranks, katz=gpg_ranks)
@@ -156,26 +163,3 @@ def _check_sweep(grid, alpha, tolerance) -> np.ndarray:
     if grid.size == 0 or np.any(np.diff(grid) <= 0):
         raise ParameterError("grid must be strictly ascending and non-empty")
     return grid
-
-
-def _grid_gpg(g, katz, deltas, lambda1, tol):
-    """GPG = A x for each Katz vector x in ``katz``, at its decay.
-
-    Returns one ``(gpg, certified)`` per decay. The product A x also gives
-    the true residual r = 1 - x + delta A x of (I - delta A) x = 1 for free,
-    and ||x - Katz|| <= ||r|| / (1 - delta lambda1): ``certified`` says
-    that this bound is at most ``tol * ||x||``. Each GPG takes over the
-    buffer of a Katz vector that is no longer needed, so ``katz`` is
-    overwritten and only two n-vectors are added.
-    """
-    spare, residual = np.empty(g.node_count), np.empty(g.node_count)
-    results = []
-    for x, delta in zip(katz, deltas):
-        gpg = g.spmv(x, out=spare)
-        np.multiply(gpg, delta, out=residual)
-        residual -= x
-        residual += 1.0
-        bound = np.linalg.norm(residual) / (1.0 - delta * lambda1)
-        results.append((gpg, bool(bound <= tol * np.linalg.norm(x))))
-        spare = x
-    return results

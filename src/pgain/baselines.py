@@ -1,14 +1,13 @@
 """Comparison centralities: degree, Katz, PageRank, communicability.
 
-Katz, (I - delta A)^(-1) 1, is 1 + delta * GPG at the same delta (GPG =
-A Katz), so it comes from the geometric gain series (``gain._katz``), the
-same computation as ``pgain compute``'s Katz column. Communicability,
-exp(A) 1 = sum over k >= 0 of A^k 1 / k!, is the exponential series
-started at the ones vector instead of A 1, so it runs on the same engine,
-``gain._run_series``, with its stop rules and overflow check. PageRank is
-the usual damped power iteration on the row-normalized adjacency
-(transposed product, so undirected graphs reuse the symmetric SpMV on a
-degree-scaled vector).
+Katz, (I - delta A)^(-1) 1, and communicability, exp(A) 1, come from the
+Lanczos pass of the gains (``gain._krylov``), the same computation as
+``pgain compute``'s ``katz`` and ``epg`` columns: Katz is 1 + delta * GPG
+with GPG = A x from the pass's Katz vector x, certified by x's true
+residual, and communicability is e^shift exp(A - shift I) 1 from the
+Krylov exponential. PageRank is the usual damped power iteration on the
+row-normalized adjacency (transposed product, so undirected graphs reuse
+the symmetric SpMV on a degree-scaled vector).
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from pgain.errors import check_cap, check_tolerance, check_unit_interval
-from pgain.gain import (DEFAULT_TOLERANCE, GainParams, _converged, _gain,
-                        _katz, _lambda1, _run_series)
+from pgain.gain import (DEFAULT_TOLERANCE, GainParams, _exponential_vector,
+                        _geometric_vectors, _krylov)
 from pgain.graph import Graph
 from pgain.spectral import DEFAULT_MAX_ITER
 from pgain.vectors import CentralityVector
@@ -40,18 +39,21 @@ def katz_centrality(
 ) -> CentralityVector:
     """(I - delta A)^(-1) 1 as 1 + delta * GPG, scores >= 1 everywhere.
 
-    Requires delta in (0, 1/lambda1); lambda1 is checked, or estimated when
-    not given (0 without edges), as for the gains; an empty graph raises.
-    The GPG series stops once its tail bound is below ``tolerance`` times
-    its sum, or after ``max_iter`` terms. ``iterations_used`` counts its
-    SpMVs (one per term, at most ``max_iter``), and ``converged`` means the
-    tolerance rule stopped it and the lambda1 estimate, if made here,
-    converged.
+    Requires delta in (0, 1/lambda1); lambda1 is checked, or estimated in
+    the same Lanczos pass when not given (0 without edges), as for the
+    gains; an empty graph raises. The Katz solve stops once its residual
+    estimate meets ``tolerance``, or where another step would take its pass
+    and replay past ``max_iter`` SpMVs (m steps cost 2m - 1).
+    ``iterations_used`` counts those SpMVs and the product GPG = A x, and
+    ``converged`` means the certificate ||x - Katz|| <= ||r|| / (1 - delta
+    lambda1) <= ``tolerance`` ||x|| holds for the solve's x and its true
+    residual r, and the lambda1 estimate, if made here, converged.
     """
     check_cap(max_iter, "max_iter")
-    params = GainParams(delta=delta, max_walk_length=max_iter,
-                        tolerance=tolerance)
-    return _katz(_gain(g, "geometric", params, *_lambda1(g, lambda1)))
+    params = GainParams(delta=delta, tolerance=tolerance)
+    estimates, krylov = _krylov(g, params, lambda1, geometric=True,
+                                max_iter=max_iter)
+    return _geometric_vectors(g, params, krylov, estimates, "max_k")[1]
 
 
 def pagerank(
@@ -103,22 +105,16 @@ def communicability_vector(
     tolerance: float = DEFAULT_TOLERANCE,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> CentralityVector:
-    """exp(A) 1 as the walk series sum of A^k 1 / k!, from the ones vector.
+    """exp(A) 1 = sum over k >= 0 of A^k 1 / k!, by the Krylov exponential.
 
-    A series of k terms costs k - 1 SpMVs, which ``max_iter`` caps and
-    ``iterations_used`` counts; ``converged`` means the tolerance rule
-    stopped it. A series that overflows raises.
+    m Lanczos steps cost 2m - 1 SpMVs (pass and replay), which ``max_iter``
+    caps and ``iterations_used`` counts; ``converged`` means Saad's a
+    posteriori estimate of the relative error met ``tolerance`` before the
+    cap (an estimate, not a bound). A vector that float64 cannot hold
+    raises ``SeriesOverflowError``.
     """
     check_cap(max_iter, "max_iter")
-    params = GainParams(max_walk_length=max_iter + 1, tolerance=tolerance)
-    scores, terms, reason = _run_series(
-        g, "exponential", np.ones(g.node_count), None, params)
-    _converged("communicability", terms, reason)  # raises on overflow
-    return CentralityVector(
-        scores=scores,
-        metric="communicability",
-        params={"tolerance": tolerance},
-        iterations_used=terms - 1,
-        converged=reason == "tolerance",
-        stop_reason=reason,
-    )
+    params = GainParams(tolerance=tolerance)
+    _, krylov = _krylov(g, params, exponential=True, max_iter=max_iter)
+    return _exponential_vector(g, krylov, "communicability",
+                               {"tolerance": tolerance}, "max_k")

@@ -12,10 +12,14 @@ Exit codes: 0 all requested computations converged, 1 I/O error,
 2 bad parameters or input, 3 a computation failed to converge (stopped at
 an iteration cap, or a series overflowed float64).
 
-``compute`` runs one Lanczos solve, for lambda1 and the ``ec`` column
-together, and only when ``ec``, ``katz`` or ``gpg`` is wanted (otherwise
-the summary prints ``lambda1=nan``); without ``ec`` it skips the
-eigenvector replay. Katz is 1 + delta * GPG from the one GPG series.
+``compute`` runs one Lanczos pass from the uniform vector, and only when
+a metric other than ``deg`` and ``pr`` is wanted: it gives lambda1 and the
+``ec`` column (only when ``ec``, ``katz`` or ``gpg`` is wanted; otherwise
+the summary prints ``lambda1=nan``), the Katz vector behind ``katz`` and
+``gpg``, and the Krylov exponential behind ``epg`` (``gain._krylov``);
+without ``ec`` it skips the eigenvector's replay. With ``--max-k`` the
+gains are the paper's truncated walk series instead, and Katz is
+1 + delta * GPG from the one GPG series.
 """
 
 from __future__ import annotations
@@ -38,7 +42,11 @@ from pgain.errors import (ParameterError, PgainError, SeriesOverflowError,
 from pgain.gain import (
     DEFAULT_TOLERANCE,
     GainParams,
+    _exponential_vector,
+    _geometric_vectors,
     _katz,
+    _krylov,
+    _snapshot,
     exponential_potential_gain,
     gain_with_trace,
     geometric_potential_gain,
@@ -90,7 +98,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="PageRank damping factor")
     compute.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
     compute.add_argument("--max-k", type=int, default=None,
-                         help="walk-length / iteration cap")
+                         help="sum katz, gpg and epg as the truncated walk"
+                              " series of at most this many terms; also the"
+                              " iteration cap of ec and pr")
     compute.add_argument("--out", default=".",
                          help="output directory (files named <metric>.csv)")
     compute.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -161,37 +171,59 @@ def _cmd_compute(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     all_converged = True
-    # One Lanczos solve gives lambda1 and the EC column; it runs only when a
-    # wanted metric needs one of them.
+    pr_wall = 0.0
+    if "pr" in wanted:
+        # before the pass: PageRank's temporaries and the pass's vectors
+        # together would set the run's peak memory
+        start = time.perf_counter()
+        pr = baselines.pagerank(graph, alpha=args.alpha, tolerance=args.tol,
+                                max_iter=max_iter)
+        pr_wall = time.perf_counter() - start
+    # One Lanczos pass gives lambda1, the EC column, Katz (and with it GPG)
+    # and the Krylov exponential (EPG), each only when a wanted metric
+    # needs it; --max-k asks for the truncated walk series instead.
     uses_lambda1 = bool({"katz", "gpg"} & set(wanted))
-    estimates = []
+    series = args.max_k is not None
+    rules = []
     if uses_lambda1 or "ec" in wanted:
         rules = [(DEFAULT_TOL, DEFAULT_MAX_ITER)]
         if "ec" in wanted:
             rules.append((args.tol, max_iter))
-        estimates = lanczos(graph, rules, eigenvectors="ec" in wanted)
+    geometric = uses_lambda1 and not series
+    exponential = "epg" in wanted and not series
+    estimates, krylov = [], None
+    if rules or exponential:
+        estimates, krylov = _krylov(graph, params, geometric=geometric,
+                                    exponential=exponential, rules=rules,
+                                    eigenvectors="ec" in wanted)
     lam = estimates[0].lambda1 if estimates else math.nan
     if uses_lambda1 and not estimates[0].converged:
         print("pgain: warning: the lambda1 solve stopped at its iteration"
               " cap before converging", file=sys.stderr)
         all_converged = False
-    gpg = None
+    gpg = katz = None
     for metric in wanted:
         start = time.perf_counter()
         if metric in ("katz", "gpg"):
-            if gpg is None:  # one series at delta gives both
+            if gpg is None and series:  # one series at delta gives both
                 gpg = geometric_potential_gain(graph, params, lambda1=lam)
-            vector = gpg if metric == "gpg" else _katz(gpg)
+                katz = _katz(gpg)
+            elif gpg is None:
+                gpg, katz = _geometric_vectors(graph, params, krylov,
+                                               estimates, "safety_cap")
+            vector = gpg if metric == "gpg" else katz
         elif metric == "ec":
             vector = estimates[1].centrality(args.tol)
-        elif metric == "epg":
+        elif metric == "epg" and series:
             vector = exponential_potential_gain(graph, params)
+        elif metric == "epg":
+            vector = _exponential_vector(graph, krylov, "epg",
+                                         _snapshot(params), "safety_cap")
         elif metric == "pr":
-            vector = baselines.pagerank(graph, alpha=args.alpha,
-                                        tolerance=args.tol, max_iter=max_iter)
+            vector = pr
         else:
             vector = baselines.degree_centrality(graph)
-        wall = time.perf_counter() - start
+        wall = time.perf_counter() - start + (pr_wall if metric == "pr" else 0)
         _summary(graph, lam, vector, wall)
         all_converged &= vector.converged
         path = out_dir / f"{metric}.{args.format}"
@@ -199,13 +231,12 @@ def _cmd_compute(args) -> int:
             _write_csv(path, "node,score", "%s,%.17g", graph.labels,
                        vector.scores)
         else:
-            _emit(path, json.dumps({
+            _emit(path, _json_scores({
                 "metric": vector.metric,
                 "params": vector.params,
                 "iterations": vector.iterations_used,
                 "converged": vector.converged,
-                "scores": dict(zip(graph.labels, vector.scores.tolist())),
-            }, indent=2) + "\n")
+            }, graph.labels, vector.scores))
     return EXIT_OK if all_converged else EXIT_NOT_CONVERGED
 
 
@@ -330,6 +361,19 @@ def _write_csv(out, header: str, row: str, *columns) -> None:
                 cells[k::width] = (part.tolist() if isinstance(part, np.ndarray)
                                    else part)
             handle.write(row * len(chunk[0]) % tuple(cells))
+
+
+def _json_scores(head: dict, labels, scores: np.ndarray) -> str:
+    """``json.dumps(dict(head, scores=dict(zip(labels, scores))), indent=2)``
+    and a newline. ``indent`` takes json's pure-Python encoder, so the
+    scores map, the bulk of the text, is encoded without it, by the C
+    encoder, with its items joined as ``indent=2`` joins them (encoded
+    strings hold no raw newline)."""
+    scores = json.dumps(dict(zip(labels, scores.tolist())),
+                        separators=(",\n    ", ": "))
+    if len(scores) > 2:  # "{}" stays as it is
+        scores = "{\n    " + scores[1:-1] + "\n  }"
+    return json.dumps(head, indent=2)[:-2] + ',\n  "scores": ' + scores + "\n}\n"
 
 
 def _emit(out: str | None, text: str) -> None:

@@ -1,8 +1,9 @@
-"""pgain's exceptions, and the three input rules of the library and the CLI:
-a tolerance is finite and positive, an iteration or walk-length cap is an
-integer >= 1 (numpy integers count), and delta_star, alpha and each sweep
-grid value lie strictly inside (0, 1) (NaN fails). Each rule raises
-``ParameterError`` in the words its caller passes: a keyword or an option."""
+"""pgain's exceptions, and the four input rules of the library and the CLI:
+a graph has at least one node, a tolerance is finite and positive, an
+iteration or walk-length cap is an integer >= 1 (numpy integers count), and
+delta_star, alpha and each sweep grid value lie strictly inside (0, 1) (NaN
+fails). Each rule raises ``ParameterError``, the last three in the words
+their caller passes: a keyword or an option."""
 
 import math
 import numbers
@@ -32,6 +33,14 @@ class UndefinedCorrelationError(PgainError, ValueError):
 
 class SeriesOverflowError(PgainError):
     """A walk series overflowed float64: its sum is not representable."""
+
+
+def check_graph(g) -> int:
+    """The node count of ``g``, which every walk-based score needs to be
+    at least 1."""
+    if g.node_count == 0:
+        raise ParameterError("empty graph")
+    return g.node_count
 
 
 def check_tolerance(value) -> None:

@@ -1,30 +1,32 @@
 """Geometric and exponential potential-gain centralities.
 
-Both scores are truncated walk series evaluated with one sparse
-matrix-vector product per term:
+Both scores are walk sums over k >= 1 of phi(k) A^k 1:
 
-* geometric: sum over k >= 1 of delta^(k-1) A^k 1, requires delta < 1/lambda1;
-  term recurrence y_k = (delta A) y_(k-1) with y_1 = A 1.
-* exponential: sum over k >= 1 of A^k 1 / (k-1)!; term recurrence
-  t_k = A t_(k-1) / (k-1) with t_1 = A 1 (no decay parameter).
+* geometric: phi(k) = delta^(k-1), requires delta < 1/lambda1; the sum is
+  A (I - delta A)^(-1) 1, the adjacency applied to Katz;
+* exponential: phi(k) = 1/(k-1)! (no decay parameter); the sum is
+  A exp(A) 1, the adjacency applied to the communicability vector.
 
-The series stops at ``max_walk_length`` terms or once its tail is below
-``tolerance`` relative to the sum, whichever comes first. For the geometric
-kind the tail after a term is at most term * q / (1 - q), q = delta
-lambda1; for the exponential kind the rule compares the latest term alone.
-Norms are rescaled when their squares overflow, and a series whose sum
-overflows float64 raises ``SeriesOverflowError`` instead of running on.
+The converged scores come from the one Lanczos pass of ``spectral`` from
+the uniform vector (``_krylov``): Katz x from its shifted solve, then
+GPG = A x, which also gives x's true residual and certifies it
+(``_gpg_from_katz``), and Katz = 1 + delta GPG; exp(A - theta I) 1 from its
+Krylov exponential, then EPG = e^theta A exp(A - theta I) 1. A score that
+float64 cannot hold raises ``SeriesOverflowError``. The pass serves the
+CLI's ``compute`` and ``sweep`` and the library functions alike
+(``baselines.katz_centrality`` and ``communicability_vector`` too).
 
-One loop, ``_run_series``, evaluates every walk series in the package.
-Each is a first term and a term ratio: GPG starts at A 1 with ratio delta,
-EPG at A 1 with ratio 1/(k-1), and the communicability baseline at 1 with
-ratio 1/k (EPG = A exp(A) 1). Katz has no series of its own: GPG = A Katz
-and Katz = 1 + delta A Katz give Katz = 1 + delta * GPG (``_katz``), for
-the CLI and ``baselines.katz_centrality`` alike. The delta_star sweep does
-not use the series: it solves the Katz system for its whole grid by
-shifted Lanczos (``spectral._katz_solve``), whose step count depends on
-delta_star alone where the series needs about log(tolerance) /
-log(delta_star) terms.
+``_run_series`` evaluates the paper's truncated walk series, one sparse
+matrix-vector product per term, for the calls that ask for a walk-length
+truncation (``GainParams.max_walk_length``, ``compute --max-k``) and for
+``gain_with_trace``, whose error curve is about the series. It stops at
+``max_walk_length`` terms or once its tail is below ``tolerance`` relative
+to the sum, whichever comes first. For the geometric kind the tail after a
+term is at most term * q / (1 - q), q = delta lambda1; for the exponential
+kind the rule compares the latest term alone. Norms are rescaled when their
+squares overflow, and a series whose sum overflows float64 raises
+``SeriesOverflowError`` instead of running on. Katz from a geometric series
+is 1 + delta * GPG (``_katz``): GPG = A Katz and Katz = 1 + delta A Katz.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 
 from pgain import spectral
 from pgain.errors import (ParameterError, SeriesOverflowError, check_cap,
-                          check_tolerance, check_unit_interval)
+                          check_graph, check_tolerance, check_unit_interval)
 from pgain.graph import Graph
 from pgain.vectors import CentralityVector, ConvergenceTrace
 
@@ -47,13 +49,14 @@ SAFETY_MAX_TERMS = 1_000_000
 
 @dataclass(frozen=True)
 class GainParams:
-    """Decay and stopping parameters for the gain series.
+    """Decay and stopping parameters for the gains.
 
     Exactly one of ``delta`` (absolute decay) and ``delta_star`` (decay
     normalized by lambda1, in (0,1)) may be given; with neither, delta_star
-    defaults to 0.5. ``max_walk_length`` and ``tolerance`` may both be set;
-    whichever triggers first stops the series. The exponential gain ignores
-    delta entirely.
+    defaults to 0.5. ``tolerance`` stops the Lanczos pass's solves.
+    ``max_walk_length`` asks for the truncated walk series instead, which
+    stops at that many terms or on ``tolerance``, whichever triggers first.
+    The exponential gain ignores delta entirely.
     """
 
     delta: float | None = None
@@ -96,20 +99,41 @@ class GainParams:
 def geometric_potential_gain(
     g: Graph, params: GainParams | None = None, lambda1: float | None = None
 ) -> CentralityVector:
-    """Geometric potential gain of every node.
+    """Geometric potential gain of every node, A (I - delta A)^(-1) 1.
 
-    ``lambda1`` is estimated by ``spectral.lanczos`` when not supplied (it
+    ``lambda1`` is estimated in the same Lanczos pass when not supplied (it
     is needed to resolve delta_star and to validate delta); the result is
-    then converged only if that estimate is.
+    then converged only if that estimate is. Without ``max_walk_length``
+    the Katz solve stops on ``tolerance`` and ``converged`` means its
+    certificate holds: ||x - Katz|| <= ||r|| / (1 - delta lambda1) <=
+    ``tolerance`` ||x||, r the true residual of the Katz vector x. With
+    ``max_walk_length`` the truncated walk series is summed instead.
     """
-    return _gain(g, "geometric", params or GainParams(), *_lambda1(g, lambda1))
+    params = params or GainParams()
+    if params.max_walk_length is not None:
+        return _gain(g, "geometric", params, *_lambda1(g, lambda1))
+    estimates, krylov = _krylov(g, params, lambda1, geometric=True)
+    return _geometric_vectors(g, params, krylov, estimates, "safety_cap")[0]
 
 
 def exponential_potential_gain(
     g: Graph, params: GainParams | None = None
 ) -> CentralityVector:
-    """Exponential potential gain of every node (parameter-free decay)."""
-    return _gain(g, "exponential", params or GainParams())
+    """Exponential potential gain of every node, A exp(A) 1 (no decay).
+
+    Without ``max_walk_length`` it comes from the Krylov exponential of
+    the Lanczos pass, and ``converged`` means that Saad's a posteriori
+    estimate of its relative error met ``tolerance`` (an estimate, not a
+    bound). With ``max_walk_length`` the truncated walk series is summed
+    instead. A score that float64 cannot hold raises
+    ``SeriesOverflowError``.
+    """
+    params = params or GainParams()
+    if params.max_walk_length is not None:
+        return _gain(g, "exponential", params)
+    _, krylov = _krylov(g, params, exponential=True)
+    return _exponential_vector(g, krylov, "epg", _snapshot(params),
+                               "safety_cap")
 
 
 def crossover_delta(lam: float) -> float:
@@ -168,11 +192,11 @@ def _gain(g, kind, params, lambda1=None, lambda1_converged=True,
     decay against ``lambda1`` and is converged only if ``lambda1_converged``
     is too; ``"exponential"`` ignores both. ``per_term`` goes to
     ``_run_series``. A series that overflows raises."""
-    delta, snapshot = None, dict(asdict(params), delta=None, delta_star=None)
+    check_graph(g)
+    delta = None
     if kind == "geometric":
         delta = params.resolve_delta(lambda1)
-        snapshot.update(delta=delta, delta_star=delta * lambda1,
-                        lambda1=lambda1)
+    snapshot = _snapshot(params, delta, lambda1)
     scores, iterations, reason = _run_series(
         g, kind, g.spmv(np.ones(g.node_count)), delta, params, lambda1,
         per_term
@@ -188,10 +212,109 @@ def _gain(g, kind, params, lambda1=None, lambda1_converged=True,
     )
 
 
+def _snapshot(params, delta=None, lambda1=None) -> dict:
+    """A gain's ``params``: the caller's, with the decay and lambda1 it
+    used when it has one."""
+    snapshot = dict(asdict(params), delta=None, delta_star=None)
+    if delta is not None:
+        snapshot.update(delta=delta, delta_star=delta * lambda1,
+                        lambda1=lambda1)
+    return snapshot
+
+
+def _krylov(g, params, lambda1=None, geometric=False, exponential=False,
+            rules=(), eigenvectors=False, max_iter=spectral.DEFAULT_MAX_ITER):
+    """One ``spectral._lanczos`` pass for the converged gains: Katz at
+    ``params``' decay (``geometric``) and exp(A - shift I) 1
+    (``exponential``), to ``params.tolerance``, each within ``max_iter``
+    SpMVs of pass and replay, besides the lambda1 ``rules``. Katz needs
+    lambda1: the caller's (checked, taken as exact) or, without it, the
+    estimate of ``rules[0]``, which defaults to the lambda1 rule of
+    ``spectral.lanczos``. Returns the estimates and the pass."""
+    if geometric and lambda1 is not None:
+        lambda1 = _lambda1(g, lambda1)[0]
+    elif geometric and not rules:
+        rules = [(spectral.DEFAULT_TOL, spectral.DEFAULT_MAX_ITER)]
+    decays = (lambda lam: [params.resolve_delta(lam)]) if geometric else None
+    return spectral._lanczos(g, rules, eigenvectors, decays, params.tolerance,
+                             exponential, lambda1, (max_iter + 1) // 2)
+
+
+def _geometric_vectors(g, params, krylov, estimates, cap_reason):
+    """``(gpg, katz)`` from the Katz vector x of ``krylov``: GPG = A x (one
+    SpMV, which certifies x), then Katz = 1 + delta GPG in x's buffer, one
+    fixed-point step from x, so within delta lambda1 times x's error. Both
+    are converged when the certificate holds and the lambda1 estimate in
+    ``estimates``, if any, converged; each counts its 2m SpMVs (m steps, the
+    replay, A x). ``cap_reason`` is the stop reason when the solve ran to
+    its cap uncertified."""
+    [x], [delta], [steps] = krylov.katz, krylov.deltas, krylov.katz_steps
+    lam = krylov.lambda1
+    [(gpg, certified)] = _gpg_from_katz(g, [x], [delta], lam, params.tolerance,
+                                        krylov.free)
+    np.multiply(gpg, delta, out=x)
+    x += 1.0
+    converged = certified and (not estimates or estimates[0].converged)
+    reason = (cap_reason if steps == krylov.max_steps and not certified
+              else "tolerance")
+    return (
+        CentralityVector(gpg, "gpg", _snapshot(params, delta, lam), 2 * steps,
+                         converged, reason),
+        CentralityVector(x, "katz", {"delta": delta,
+                                     "tolerance": params.tolerance},
+                         2 * steps, converged, reason),
+    )
+
+
+def _exponential_vector(g, krylov, metric, params, cap_reason):
+    """EPG = e^shift A u (``metric="epg"``, with one SpMV into a buffer the
+    pass freed) or exp(A) 1 = e^shift u (``"communicability"``, in u's
+    buffer), u = exp(A - shift I) 1 of ``krylov``. It counts the SpMVs of
+    pass, replay and product; ``converged`` means Saad's estimate met the
+    tolerance, else it reports ``cap_reason``. A vector that float64 cannot
+    hold raises ``SeriesOverflowError``."""
+    u, steps = krylov.exp, 2 * krylov.exp_steps - 1
+    if metric == "epg":
+        u, steps = g.spmv(u, out=krylov.free[2]), steps + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        u *= np.exp(krylov.shift)
+    if not np.isfinite(u).all():
+        label = "exponential gain" if metric == "epg" else metric
+        raise SeriesOverflowError(
+            f"{label}: the series overflows float64 (lambda1 ="
+            f" {krylov.shift:.6g})")
+    reason = "tolerance" if krylov.exp_met else cap_reason
+    return CentralityVector(u, metric, params, steps, krylov.exp_met, reason)
+
+
+def _gpg_from_katz(g, katz, deltas, lambda1, tol, free):
+    """GPG = A x for each Katz vector x in ``katz``, at its decay.
+
+    Returns one ``(gpg, certified)`` per decay. The product A x also gives
+    the true residual r = 1 - x + delta A x of (I - delta A) x = 1 for free,
+    and ||x - Katz|| <= ||r|| / (1 - delta lambda1): ``certified`` says
+    that this bound is at most ``tol * ||x||``. The first GPG and the
+    residual go to the n-vectors ``free[0]`` and ``free[1]``; each later GPG
+    takes over the buffer of the Katz vector before it, so ``katz`` is
+    overwritten but for its last vector.
+    """
+    spare, residual = free[0], free[1]
+    results = []
+    for x, delta in zip(katz, deltas):
+        gpg = g.spmv(x, out=spare)
+        np.multiply(gpg, delta, out=residual)
+        residual -= x
+        residual += 1.0
+        bound = np.linalg.norm(residual) / (1.0 - delta * lambda1)
+        results.append((gpg, bool(bound <= tol * np.linalg.norm(x))))
+        spare = x
+    return results
+
+
 def _katz(gpg: CentralityVector) -> CentralityVector:
-    """Katz = 1 + delta * GPG, from a geometric gain. It is converged only
-    when the GPG is and its tolerance rule stopped the series, not a
-    walk-length cap; it reports the GPG's SpMV count."""
+    """Katz = 1 + delta * GPG, from a geometric gain series. It is
+    converged only when the GPG is and its tolerance rule stopped the
+    series, not a walk-length cap; it reports the GPG's SpMV count."""
     delta = gpg.params["delta"]
     return CentralityVector(
         scores=1.0 + delta * gpg.scores,
@@ -291,8 +414,6 @@ def _lambda1(g: Graph, lambda1: float | None) -> tuple[float, bool]:
         if lambda1 < 0 or not math.isfinite(lambda1):
             raise ParameterError(f"lambda1 must be finite and >= 0, got {lambda1}")
         return lambda1, True
-    if g.node_count == 0:
-        raise ParameterError("empty graph")
     if g.edge_count == 0:
         return 0.0, True
     [estimate] = spectral.lanczos(g, eigenvectors=False)

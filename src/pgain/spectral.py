@@ -1,4 +1,4 @@
-"""Two-pass Lanczos: lambda1, the principal eigenvector and Katz solves.
+"""Two-pass Lanczos: lambda1, the principal eigenvector, Katz and exp(A) 1.
 
 ``lanczos`` runs the Lanczos three-term recurrence on A from the uniform
 vector without storing a basis. Pass 1 builds the tridiagonal T_m and
@@ -13,23 +13,32 @@ bipartite graphs give +lambda1. The recurrence does not depend on the
 tolerance, so one run serves several stop rules (lambda1 and the EC
 column).
 
-The Katz system (I - delta A) x = 1 lives in the same Krylov space at every
-delta, so ``_katz_solve`` needs only the scalar steps of that recurrence and
-carries the LDL^T pivots of I - delta T_m per decay. The sweep runs one
-pass for both (``_lanczos``): the Katz rules read the steps lambda1 has
-stored and continue its recurrence, and one replay builds every vector.
+Every other vector the package converges is a function of A applied to
+the ones vector, so it lies in the same Krylov space of the uniform start,
+and ``_lanczos`` gives it from the same pass and replay:
+
+* Katz, (I - delta A)^(-1) 1 = sqrt(n) Q_m (I - delta T_m)^(-1) e_1, for any
+  number of decays: ``_katz_solve`` needs only the scalar steps and carries
+  the LDL^T pivots of I - delta T_m per decay;
+* exp(A - theta I) 1 = sqrt(n) Q_m exp(T_m - theta I) e_1 (Saad 1992), with
+  theta the top Ritz value, so it never overflows: ``_exp_rule`` takes it
+  from the eigenpairs of T_m that the Ritz rule computes at every step.
+
+lambda1's restarts continue only the eigensolve: Katz and exp read the
+steps of the first, unrestarted cycle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import count, islice
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from pgain.errors import ParameterError, check_cap, check_tolerance
+from pgain.errors import (ParameterError, check_cap, check_graph,
+                          check_tolerance)
 from pgain.graph import Graph
 from pgain.vectors import CentralityVector
 
@@ -58,6 +67,22 @@ class SpectralEstimate:
         )
 
 
+@dataclass(frozen=True)
+class _Pass:
+    """What one ``_lanczos`` run gives besides the lambda1 estimates."""
+
+    lambda1: float | None  # that of the first rule, or the caller's
+    deltas: list  # the decays, at that lambda1
+    katz: list  # (I - delta_j A)^(-1) 1 per decay
+    katz_steps: list  # pass-1 steps per decay
+    max_steps: int  # the cap on those steps
+    exp: np.ndarray | None  # exp(A - shift I) 1
+    shift: float
+    exp_steps: int
+    exp_met: bool  # Saad's estimate met the tolerance before the cap
+    free: list  # the recurrence's n-vectors, free for the caller's products
+
+
 def lanczos(
     g: Graph,
     rules: Sequence[tuple[float, int]] = ((DEFAULT_TOL, DEFAULT_MAX_ITER),),
@@ -79,23 +104,33 @@ def lanczos(
     return _lanczos(g, rules, eigenvectors)[0]
 
 
-def _lanczos(g, rules, eigenvectors, decays=None, katz_tol=None):
-    """``lanczos``, and the Katz vectors at ``decays(lambda1)`` (lambda1 of
-    the last rule to stop) to ``katz_tol``: 2 max(m, max m_j) - 1 SpMVs in
-    all, m the steps of lambda1; after a restart, max m_j - 1 more for the
-    replay from the uniform vector, and max m_j more if the Katz solve
-    needs steps past the first cycle. Returns both. An empty graph raises
-    ``ParameterError``."""
-    for tol, max_iter in rules:
-        check_tolerance(tol)
+def _lanczos(g, rules, eigenvectors, decays=None, tol=None, exp=False,
+             lambda1=None, max_steps=DEFAULT_MAX_ITER):
+    """``lanczos``, plus the solves from the uniform vector, each to ``tol``
+    within ``max_steps`` pass-1 steps: the Katz vectors at
+    ``decays(lambda1)`` and, with ``exp``, exp(A - shift I) 1. lambda1 is
+    the estimate of the first rule, or the caller's ``lambda1``, taken as
+    exact, when there are no rules. Returns the estimates and a ``_Pass``.
+
+    The pass runs max(m, m_j, m_e) steps, m those of lambda1, m_j those of
+    decay j and m_e those of exp, and one replay of max(m, m_j, m_e) - 1
+    SpMVs builds every vector. After a restart of lambda1 the Katz and exp
+    vectors take a replay of their own from the uniform vector,
+    max(m_j, m_e) - 1 SpMVs, and max(m_j, m_e) more if they need steps past
+    the first cycle. The replay holds three n-vectors besides the wanted
+    ones; they are returned in ``free``. An empty graph raises
+    ``ParameterError``.
+    """
+    for rule_tol, max_iter in rules:
+        check_tolerance(rule_tol)
         check_cap(max_iter, "max_iter")
-    n = g.node_count
-    if n == 0:
-        raise ParameterError("empty graph")
+    n = check_graph(g)
 
     uniform = start = 1.0 / math.sqrt(n)  # later a Ritz vector
     buffers = [np.empty(n) for _ in range(3)]  # q_prev, q, w
     tri = np.zeros((KRYLOV_DIM + 1, KRYLOV_DIM))  # T_m, lower triangle
+    kept = [], []  # alpha and beta of the uniform start, kept past a restart
+    exp_stop = None  # (coefficients, shift, steps, met) once exp stops
     estimates: list[SpectralEstimate | None] = [None] * len(rules)
     spent = 0  # SpMVs of the finished restart cycles
     while True:
@@ -104,9 +139,13 @@ def _lanczos(g, rules, eigenvectors, decays=None, katz_tol=None):
         recurrence = _recurrence(g, start, buffers)
         for m, (alpha, beta) in enumerate(recurrence, 1):
             tri[m - 1, m - 1], tri[m, m - 1] = alpha, beta
-            # eigh of a 1 x 1 matrix would return the same pair, only slower
-            thetas, vectors = (np.linalg.eigh(tri[:m, :m]) if m > 1
-                               else (tri[0, :1], np.ones((1, 1))))
+            thetas, vectors = _eigh(tri[:m, :m])
+            if not spent:
+                kept[0].append(alpha)
+                kept[1].append(beta)
+                if exp and exp_stop is None:
+                    exp_stop = _exp_rule(m, beta, thetas, vectors, tol,
+                                         max_steps)
             theta, s = float(thetas[-1]), vectors[:, -1]
             residual = beta * abs(float(s[-1]))
             # pass 1 to step m, plus pass 2 to q_m when the vector is
@@ -116,29 +155,36 @@ def _lanczos(g, rules, eigenvectors, decays=None, katz_tol=None):
             next_cost = (cost + (2 if eigenvectors else 1) if m < KRYLOV_DIM
                          else spent + 2 * KRYLOV_DIM)
             for j in active:
-                tol, max_iter = rules[j]
-                met = residual <= 10.0 * tol * theta
+                rule_tol, max_iter = rules[j]
+                met = residual <= 10.0 * rule_tol * theta
                 if met or next_cost > max_iter:
                     stops[j] = (s, theta, cost, met, residual)
             active = [j for j in active if j not in stops]
             if not active or m == KRYLOV_DIM:
                 break
-        if not spent:  # the uniform vector's steps, which a restart overwrites
-            first = np.diag(tri)[:m].tolist(), np.diag(tri, -1)[:m].tolist()
         wanted = [stop[0] for stop in stops.values()] if eigenvectors else []
         wanted += [s] if active else []  # the restart vector
-        solved, katz_vectors = [], []  # Katz coefficients and vectors
-        if decays is not None and not active:
-            # after a restart, a fresh recurrence from the uniform vector
-            # runs only if the solve needs steps past the first cycle
-            rest = (islice(_recurrence(g, uniform, buffers), KRYLOV_DIM, None)
-                    if spent else recurrence)
-            solved = _katz_solve(chain(zip(*first), rest), n, decays(theta),
-                                 theta, katz_tol)
+        solved, vectors = [], []  # the uniform start's coefficients, vectors
+        if not active:
+            if rules:  # the decays follow the first rule's lambda1
+                lambda1 = stops[0][1] if 0 in stops else estimates[0].lambda1
+            # the kept steps, then the live recurrence or, after a restart,
+            # a fresh one that runs only if a solve needs more steps
+            steps = _steps(kept, recurrence if not spent else islice(
+                _recurrence(g, uniform, buffers), len(kept[0]), None))
+            if exp and exp_stop is None:
+                exp_stop = _exp_solve(steps, kept, tol, max_steps)
+            deltas = [] if decays is None else decays(lambda1)
+            if deltas:
+                solved = _katz_solve(steps(), n, deltas, lambda1, tol,
+                                     max_steps)
+            katz_steps = [len(y) for y in solved]
+            if exp:  # 1 = sqrt(n) q_1
+                solved.append(math.sqrt(n) * exp_stop[0])
             if spent:  # the replay below starts from a Ritz vector
-                katz_vectors, solved = _replay(g, uniform, solved, buffers), []
+                vectors, solved = _replay(g, uniform, solved, buffers), []
         sums = _replay(g, start, wanted + solved, buffers)
-        ritz, katz_vectors = sums[:len(wanted)], katz_vectors + sums[len(wanted):]
+        ritz, vectors = sums[:len(wanted)], vectors + sums[len(wanted):]
         for v in ritz:  # flipped to a positive total and normalised
             if v.sum() < 0:
                 np.negative(v, out=v)
@@ -149,9 +195,68 @@ def _lanczos(g, rules, eigenvectors, decays=None, katz_tol=None):
             v = ritz.pop(0) if eigenvectors else None
             estimates[j] = SpectralEstimate(theta, v, cost, met, residual)
         if not active:
-            return estimates, katz_vectors
+            shift, exp_steps, exp_met = (exp_stop[1:] if exp
+                                         else (math.nan, 0, True))
+            return estimates, _Pass(
+                lambda1=lambda1,
+                deltas=deltas,
+                katz=vectors[:len(deltas)],
+                katz_steps=katz_steps,
+                max_steps=max_steps,
+                exp=vectors[-1] if exp else None,
+                shift=shift,
+                exp_steps=exp_steps,
+                exp_met=exp_met,
+                free=buffers,
+            )
         [start] = ritz
         spent += 2 * KRYLOV_DIM - 1
+
+
+def _steps(kept, live):
+    """A function that yields the (alpha, beta) steps of the uniform start
+    from the start: the ``kept`` ones, then those of the recurrence
+    ``live``, which it keeps too."""
+    def steps():
+        for i in count():
+            if i == len(kept[0]):
+                for column, value in zip(kept, next(live)):
+                    column.append(value)
+            yield kept[0][i], kept[1][i]
+    return steps
+
+
+def _eigh(tri):
+    """Eigenpairs of the tridiagonal T_m whose lower triangle is ``tri``,
+    ascending; a 1 x 1 matrix needs no eigensolve."""
+    return (np.linalg.eigh(tri) if len(tri) > 1
+            else (tri[0, :1], np.ones((1, 1))))
+
+
+def _exp_rule(m, beta, thetas, vectors, tol, max_steps):
+    """The exp rule at step m, from the eigenpairs of T_m: c_m = exp(T_m -
+    theta I) e_1, theta the top Ritz value, and Saad's a posteriori estimate
+    beta_m |e_m^T c_m| / ||c_m|| of the relative error of Q_m c_m. Returns
+    ``(c_m, theta, m, met)`` once the estimate is at most ``tol`` or step m
+    is the cap, else None."""
+    shift = float(thetas[-1])
+    c = vectors @ (np.exp(thetas - shift) * vectors[0])
+    met = beta * abs(float(c[-1])) <= tol * math.sqrt(float(c @ c))
+    return (c, shift, m, met) if met or m == max_steps else None
+
+
+def _exp_solve(steps, kept, tol, max_steps):
+    """``_exp_rule`` from the first step past the ``kept`` ones, which it
+    has seen, until it stops. Past ``KRYLOV_DIM`` steps it runs every
+    ``KRYLOV_DIM`` steps, so the eigensolves of T_m cost O(m^2) per step."""
+    alphas, betas = kept
+    for m, _ in islice(enumerate(steps(), 1), len(alphas), None):
+        if m <= KRYLOV_DIM or m % KRYLOV_DIM == 0 or m == max_steps:
+            tridiagonal = np.diag(alphas[:m]) + np.diag(betas[:m - 1], -1)
+            stop = _exp_rule(m, betas[m - 1], *_eigh(tridiagonal), tol,
+                             max_steps)
+            if stop is not None:
+                return stop
 
 
 def eigenvector_centrality(
@@ -168,6 +273,7 @@ def _katz_solve(
     deltas: Sequence[float],
     lambda1: float,
     tol: float,
+    max_steps: int = DEFAULT_MAX_ITER,
 ) -> list[np.ndarray]:
     """Coefficients y_j of the Katz vectors x_j = (I - delta_j A)^(-1) 1 =
     Q_m y_j, from the (alpha, beta) ``steps`` of the recurrence from the
@@ -179,7 +285,7 @@ def _katz_solve(
     I - delta_j A has smallest eigenvalue 1 - delta_j lambda1, so decay j
     stops at the first step m where delta_j beta_m |y_m| / (1 - delta_j
     lambda1) <= tol sqrt(n) (Katz >= 1 entrywise, so ||x|| >= sqrt(n)), or
-    at ``DEFAULT_MAX_ITER`` steps. Each y then comes by back-substitution
+    at ``max_steps`` steps. Each y then comes by back-substitution
     through its pivots, so len(y_j) is decay j's step count m_j. ``steps``
     is read only until every decay has stopped, and a replay sums the x_j.
 
@@ -212,7 +318,7 @@ def _katz_solve(
             d.append(pivot)
             z.append(value)
             if (delta * beta * abs(value / pivot) <= limits[j]
-                    or m == DEFAULT_MAX_ITER):
+                    or m == max_steps):
                 counts[j] = m
         betas.append(beta)
         active = [j for j in active if not counts[j]]

@@ -13,9 +13,10 @@ from pgain.errors import PgainError
 class CentralityVector:
     """Per-node scores plus the parameters that produced them.
 
-    ``stop_reason`` says why a walk series (GPG, EPG, Katz or
-    communicability) stopped: ``tolerance``, ``max_k`` or ``safety_cap``.
-    It is None for the other computations.
+    ``stop_reason`` says why the solve or walk series behind GPG, EPG,
+    Katz or communicability stopped: ``tolerance`` (its stop rule),
+    ``max_k`` (the caller's cap) or ``safety_cap`` (the library's). It is
+    None for the other computations.
     """
 
     scores: np.ndarray

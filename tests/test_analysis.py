@@ -10,15 +10,16 @@ from pgain import (
     Graph,
     ParameterError,
     UndefinedCorrelationError,
+    communicability_vector,
     delta_sweep,
-    exponential_potential_gain,
     lanczos,
     pagerank,
     spearman_rho,
 )
 import oracle
-from pgain.analysis import DEFAULT_GRID, SWEEP_COLUMNS, _grid_gpg, average_ranks
+from pgain.analysis import DEFAULT_GRID, SWEEP_COLUMNS, average_ranks
 from pgain.cli import main
+from pgain.gain import _gpg_from_katz
 from pgain.generate import (complete_edges, edges_to_text, ring_edges,
                             star_edges)
 from pgain.spectral import (
@@ -43,6 +44,12 @@ def katz_solve(g, deltas, lambda1, tol):
         _recurrence(g, uniform, buffers), n, deltas, lambda1, tol)
     katz = _replay(g, uniform, coefficients, buffers)
     return katz, [len(y) for y in coefficients]
+
+
+def grid_gpg(g, katz, deltas, lambda1, tol):
+    """GPG and its certificate per Katz vector, with buffers of its own."""
+    free = [np.empty(g.node_count) for _ in range(2)]
+    return _gpg_from_katz(g, katz, deltas, lambda1, tol, free)
 
 
 class TestSpearman:
@@ -142,20 +149,21 @@ class TestDeltaSweep:
         assert len(lines) == 3
 
     def test_one_series_pass_and_one_power_iteration(self, monkeypatch):
-        # one Lanczos pass of max(m, max m_j) steps for lambda1 (m steps),
-        # EC and the Katz vector of every grid value (m_j steps), one replay
-        # for all of them, PageRank, EPG, and one SpMV per grid value for
-        # GPG = A Katz
+        # one Lanczos pass of max(m, max m_j, m_e) steps for lambda1 (m
+        # steps), EC, the Katz vector of every grid value (m_j steps) and
+        # exp(A - theta I) 1 (m_e steps), one replay for all of them,
+        # PageRank, one SpMV for EPG and one per grid value for GPG = A Katz
         g = ba_graph(300, 3, seed=3)
         grid = [0.1, 0.5, 0.9]
         spectrum = lanczos(g)[0]
         lam = spectrum.lambda1
         _, steps = katz_solve(g, [s / lam for s in grid], lam, 1e-12)
+        exp_steps = (communicability_vector(g).iterations_used + 1) // 2
         assert spectrum.iterations < 2 * KRYLOV_DIM  # no restart
         expected = (
-            2 * max((spectrum.iterations + 1) // 2, *steps) - 1
+            2 * max((spectrum.iterations + 1) // 2, *steps, exp_steps) - 1
             + pagerank(g).iterations_used
-            + exponential_potential_gain(g).iterations_used
+            + 1
             + len(grid)
         )
         calls = count_spmv(monkeypatch)
@@ -164,22 +172,23 @@ class TestDeltaSweep:
         assert len(calls) == expected
 
     def test_a_restarted_lambda1_costs_two_separate_solves(self, monkeypatch):
-        # on P_200 lambda1 needs restarts, so the Katz vectors take a replay
-        # of their own from the uniform vector; their solve reads the steps
-        # of the first restart cycle, which hold every step the grid needs,
-        # so it runs no SpMV of its own
+        # on P_200 lambda1 needs restarts, so the Katz and exp vectors take
+        # a replay of their own from the uniform vector; their solves read
+        # the steps of the first restart cycle, which hold every step they
+        # need, so they run no SpMV of their own
         g = Graph.from_edges([(i, i + 1) for i in range(199)])
         grid = [0.1, 0.5, 0.9]
         spectrum = lanczos(g)[0]
         lam = spectrum.lambda1
         _, steps = katz_solve(g, [s / lam for s in grid], lam, 1e-12)
+        exp_steps = (communicability_vector(g).iterations_used + 1) // 2
         assert spectrum.converged and spectrum.iterations > 2 * KRYLOV_DIM
-        assert max(steps) <= KRYLOV_DIM
+        assert max(*steps, exp_steps) <= KRYLOV_DIM
         expected = (
             spectrum.iterations
             + pagerank(g).iterations_used
-            + exponential_potential_gain(g).iterations_used
-            + max(steps) - 1
+            + max(*steps, exp_steps) - 1
+            + 1
             + len(grid)
         )
         calls = count_spmv(monkeypatch)
@@ -226,7 +235,7 @@ class TestGridSolve:
         deltas = [star / lam for star in grid]
         katz, _ = katz_solve(g, deltas, lam, 1e-12)
         for delta, (gpg, certified) in zip(
-            deltas, _grid_gpg(g, katz, deltas, lam, 1e-12)
+            deltas, grid_gpg(g, katz, deltas, lam, 1e-12)
         ):
             assert certified
             reference = oracle.oracle_gain(g, "geometric", delta=delta)
@@ -239,7 +248,7 @@ class TestGridSolve:
         assert steps == [1, 1, 1]
         for x in katz:
             np.testing.assert_array_equal(x, np.ones(3))
-        for gpg, certified in _grid_gpg(g, katz, [0.1, 0.5, 0.9], 0.0, 1e-12):
+        for gpg, certified in grid_gpg(g, katz, [0.1, 0.5, 0.9], 0.0, 1e-12):
             assert certified and not gpg.any()
 
     def test_slow_decay_on_a_path_meets_the_cg_bound(self):
@@ -253,7 +262,7 @@ class TestGridSolve:
         g = Graph.from_edges([(i, i + 1) for i in range(n - 1)])
         lam = 2 * math.cos(math.pi / (n + 1))
         katz, [steps] = katz_solve(g, [star / lam], lam, tol)
-        [(gpg, certified)] = _grid_gpg(g, katz, [star / lam], lam, tol)
+        [(gpg, certified)] = grid_gpg(g, katz, [star / lam], lam, tol)
         assert certified
         root = math.sqrt((1 + star) / (1 - star))
         rho = (root - 1) / (root + 1)
@@ -290,7 +299,8 @@ class TestGridSolve:
             return [star / lam if lam > 0 else star for star in grid]
 
         rules = [(DEFAULT_TOL, DEFAULT_MAX_ITER)]
-        [shared], katz = _lanczos(g, rules, True, decays, 1e-12)
+        [shared], krylov = _lanczos(g, rules, True, decays, 1e-12)
+        katz = krylov.katz
         [alone] = lanczos(g, rules)
         assert (shared.lambda1, shared.iterations, shared.converged,
                 shared.residual) == (alone.lambda1, alone.iterations,

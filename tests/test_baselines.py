@@ -43,6 +43,8 @@ class TestKatz:
     def test_non_convergence_flagged(self, s4):
         v = katz_centrality(s4, 0.4, max_iter=2)
         assert not v.converged
+        # one step: its SpMV and the product A x
+        assert (v.stop_reason, v.iterations_used) == ("max_k", 2)
 
 
 class TestPagerank:
@@ -97,6 +99,13 @@ class TestCommunicability:
         g = er_graph(20, 0.3, seed=11)
         v = communicability_vector(g, tolerance=1e-14)
         assert rel_err(v.scores, oracle.oracle_communicability(g)) <= 1e-9
+
+    def test_cap_binds(self):
+        # m steps cost 2m - 1 SpMVs of pass and replay: a cap of 6 stops
+        # the pass at 3 steps, before Saad's estimate meets the tolerance
+        v = communicability_vector(ba_graph(100, 3, seed=2), max_iter=6)
+        assert (v.converged, v.stop_reason, v.iterations_used) == (
+            False, "max_k", 5)
 
 
 class TestDegree:

@@ -198,16 +198,21 @@ class TestCompute:
 
 
 class TestComputeSharedWork:
-    """``compute`` runs one Lanczos solve and one GPG series."""
+    """``compute`` runs one Lanczos pass for lambda1, EC, Katz/GPG and EPG."""
 
     def test_metric_all_spmv_count(self, ba_file, tmp_path, monkeypatch):
+        # m pass-1 steps and their replay cost 2m - 1 SpMVs; Katz and EPG
+        # each count one more, the product by A after the replay
         g = parse_edge_list(ba_file)
+        lam = lanczos(g)[0].lambda1
+        katz = katz_centrality(g, 0.5 / lam, lambda1=lam).iterations_used
+        epg = exponential_potential_gain(g).iterations_used
         expected = (
             max(lanczos(g)[0].iterations,
-                lanczos(g, [(1e-12, 10_000)])[0].iterations)
+                lanczos(g, [(1e-12, 10_000)])[0].iterations,
+                katz - 1, epg - 1)
             + pagerank(g).iterations_used
-            + geometric_potential_gain(g).iterations_used
-            + exponential_potential_gain(g).iterations_used
+            + 2
         )
         calls = count_spmv(monkeypatch)
         assert main(["compute", "--metric", "all", "--out", str(tmp_path),
@@ -216,10 +221,13 @@ class TestComputeSharedWork:
 
     def test_gpg_alone_skips_the_ec_rule(self, ba_file, tmp_path, monkeypatch):
         # a tight --tol would lengthen an EC rule, not the lambda1 rule
+        # pass 1 runs the longer of lambda1's m and Katz's m' steps, and
+        # only Katz is replayed (m' - 1) and multiplied by A
         g = parse_edge_list(ba_file)
-        expected = (lanczos(g, eigenvectors=False)[0].iterations
-                    + geometric_potential_gain(
-                        g, GainParams(tolerance=1e-14)).iterations_used)
+        steps = geometric_potential_gain(
+            g, GainParams(tolerance=1e-14)).iterations_used // 2
+        expected = (max(lanczos(g, eigenvectors=False)[0].iterations, steps)
+                    + steps)
         calls = count_spmv(monkeypatch)
         assert main(["compute", "--metric", "gpg", "--tol", "1e-14",
                      "--out", str(tmp_path), str(ba_file)]) == 0
@@ -269,6 +277,29 @@ class TestComputeSharedWork:
                      str(loops)]) == 0
         assert read_scores(tmp_path / "katz.csv") == {"1": 1.0, "2": 1.0}
 
+    def test_json_is_the_indented_dump(self, tmp_path):
+        # labels json must escape: a quote, a backslash, non-ASCII
+        path = tmp_path / "escapes.txt"
+        path.write_text('a"q b\\s\nb\\s \u00e9\u65e5\n\u00e9\u65e5 a"q\n'
+                        "a\"q z\n", encoding="utf-8")
+        out = tmp_path / "out"
+        for metric in ("deg", "ec"):
+            assert main(["compute", "--metric", metric, "--format", "json",
+                         "--out", str(out), str(path)]) == 0
+            text = (out / f"{metric}.json").read_text(encoding="utf-8")
+            payload = json.loads(text)
+            assert set(payload["scores"]) == {'a"q', "b\\s", "\u00e9\u65e5", "z"}
+            assert text == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("labels", [(), ("a",), ('a"q', "b\\s", "\u00e9")])
+    def test_json_scores_bytes(self, labels):
+        head = {"metric": "x", "params": {"delta": None, "tolerance": 1e-12},
+                "iterations": 3, "converged": True}
+        scores = np.linspace(-1e300, 1e-300, len(labels))
+        payload = dict(head, scores=dict(zip(labels, scores.tolist())))
+        assert (cli._json_scores(head, labels, scores)
+                == json.dumps(payload, indent=2) + "\n")
+
     def test_overflowing_series_exits_3(self, tmp_path, capsys):
         k760 = tmp_path / "k760.txt"
         k760.write_text(edges_to_text(complete_edges(760)))
@@ -288,6 +319,29 @@ class TestComputeSharedWork:
         lines = ["node,score"]
         lines += [f"{label},{score:.17g}" for label, score in zip(labels, scores)]
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+@pytest.fixture
+def k760_tail_file(tmp_path):
+    # K_760 and a tail of three nodes: lambda1 = 759.000..., so exp(A) 1
+    # exceeds float64
+    path = tmp_path / "k760_tail.txt"
+    path.write_text(edges_to_text(complete_edges(760))
+                    + "0 760\n760 761\n761 762\n")
+    return path
+
+
+def test_epg_past_float64(k760_tail_file, tmp_path, capsys):
+    # the sweep ranks exp(A - theta I) 1, which float64 holds; compute
+    # cannot write the scores themselves
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--out", str(out), str(k760_tail_file)]) == 0
+    rows = [row.split(",") for row in out.read_text().strip().split("\n")[1:]]
+    assert len(rows) == 9 and all(float(row[5]) > 0.99 for row in rows)
+    assert main(["compute", "--metric", "epg", "--out", str(tmp_path),
+                 str(k760_tail_file)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("pgain: error: exponential gain: the series overflows")
 
 
 class TestSweep:
@@ -407,7 +461,8 @@ def test_json_payloads_hold_json_types_only(ba_file, tmp_path, monkeypatch):
             return [leaf for item in value for leaf in leaves(item)]
         return [value]
 
-    assert len(payloads) == 10
+    # a compute file is two payloads, its head and its scores map
+    assert len(payloads) == 17
     assert sum("params" in payload for payload in payloads) == 9
     types = {type(leaf) for payload in payloads for leaf in leaves(payload)}
     assert types <= {type(None), bool, int, float, str}, types

@@ -22,7 +22,9 @@ from pgain import (
 import oracle
 from pgain import gain
 from pgain.gain import _norm, _run_series
-from pgain.generate import complete_edges
+from pgain.generate import complete_edges, star_edges
+from pgain import spectral
+from pgain.spectral import KRYLOV_DIM
 from pgain.vectors import CentralityVector
 
 from conftest import ba_graph, er_graph, rel_err
@@ -273,6 +275,23 @@ class TestParameterValidation:
             with pytest.raises(ParameterError, match="empty graph"):
                 gain(Graph.from_edges([]))
 
+    @pytest.mark.parametrize("call", [
+        lambda g: geometric_potential_gain(g, lambda1=1.0),
+        lambda g: katz_centrality(g, 0.5, lambda1=1.0),
+        lambda g: exponential_potential_gain(g),
+        lambda g: communicability_vector(g),
+        lambda g: geometric_potential_gain(
+            g, GainParams(max_walk_length=3), lambda1=1.0),
+        lambda g: exponential_potential_gain(g, GainParams(max_walk_length=3)),
+        lambda g: gain_with_trace(g, kind="exponential"),
+    ], ids=["gpg-lambda1", "katz-lambda1", "epg", "communicability",
+            "gpg-series", "epg-series", "epg-trace"])
+    def test_empty_graph_is_one_rule(self, call):
+        # whether or not lambda1 is estimated, and on the pass and the
+        # series alike
+        with pytest.raises(ParameterError, match="^empty graph$"):
+            call(Graph.from_edges([]))
+
     def test_unknown_trace_kind_rejected(self, k3):
         with pytest.raises(ParameterError, match="unknown gain kind"):
             gain_with_trace(k3, kind="harmonic")
@@ -336,6 +355,81 @@ class TestLambda1Converged:
         assert katz_centrality(g, 0.49, lambda1=lam).converged
 
 
+def pass_vectors(g, delta_star=0.5, tol=1e-12):
+    """Katz, GPG, exp(A) 1 and EPG from the one pass that ``compute`` runs:
+    the lambda1 rule, the Katz solve at delta_star / lambda1 and the Krylov
+    exponential, and their ``delta``. The exponentials must have met their
+    tolerance, and Katz and GPG their certificate."""
+    params = GainParams(delta_star=delta_star, tolerance=tol)
+    estimates, krylov = gain._krylov(g, params, geometric=True,
+                                     exponential=True)
+    gpg, katz = gain._geometric_vectors(g, params, krylov, estimates,
+                                        "safety_cap")
+    epg = gain._exponential_vector(g, krylov, "epg", {}, "safety_cap")
+    exp = gain._exponential_vector(g, krylov, "communicability", {},
+                                   "safety_cap")
+    vectors = {"katz": katz, "gpg": gpg, "exp": exp, "epg": epg}
+    assert exp.converged and epg.converged
+    # the lambda1 estimate may stop at its cap (P_3000); the certificate not
+    assert katz.stop_reason == gpg.stop_reason == "tolerance"
+    assert katz.converged == estimates[0].converged
+    return {name: v.scores for name, v in vectors.items()}, katz.params["delta"]
+
+
+class TestKrylovPass:
+    """Katz, GPG, exp(A) 1 and EPG from the Lanczos pass, on the graphs that
+    stress it, to 1e-9 relative."""
+
+    @pytest.mark.parametrize("g", [
+        # components with different lambda1 (3, 2 and 2 cos(pi/6))
+        Graph.from_edges(complete_edges(4)
+                         + [(a + 4, b + 4) for a, b in complete_edges(3)]
+                         + [(i, i + 1) for i in range(7, 11)]),
+        # a bipartite star: lambda_min = -lambda1
+        Graph.from_edges(star_edges(7)),
+    ], ids=["k4+k3+p5", "s7"])
+    def test_matches_the_oracle(self, g):
+        vectors, delta = pass_vectors(g)
+        adjacency = oracle.dense_adjacency(g)
+        katz = oracle.oracle_katz(g, delta)
+        exp = oracle.oracle_communicability(g)
+        expected = {"katz": katz, "gpg": adjacency @ katz, "exp": exp,
+                    "epg": adjacency @ exp}
+        for name, scores in vectors.items():
+            assert rel_err(scores, expected[name]) <= 1e-9, name
+
+    def test_restarted_lambda1_keeps_the_first_cycle(self):
+        # on P_3000 lambda1 restarts after 64 steps; Katz and exp take the
+        # steps of the first, uniform-start cycle
+        g = Graph.from_edges([(i, i + 1) for i in range(2999)])
+        assert lanczos(g)[0].iterations > 2 * KRYLOV_DIM
+        vectors, delta = pass_vectors(g)
+        series = GainParams(tolerance=1e-15)
+        gpg, _, _ = _run_series(g, "geometric", g.spmv(np.ones(3000)), delta,
+                                series, delta * 2.0)
+        exp, _, _ = _run_series(g, "exponential", np.ones(3000), None, series)
+        expected = {"katz": 1 + delta * gpg, "gpg": gpg, "exp": exp,
+                    "epg": g.spmv(exp)}
+        for name, scores in vectors.items():
+            assert rel_err(scores, expected[name]) <= 1e-9, name
+
+    def test_no_eigensolve_per_step_past_krylov_dim(self, monkeypatch):
+        # exp on P_3000 meets 1e-12 at step 14; with KRYLOV_DIM = 8 the rule
+        # is checked at every step up to 8, then at step 16 alone
+        monkeypatch.setattr(spectral, "KRYLOV_DIM", 8)
+        g = Graph.from_edges([(i, i + 1) for i in range(2999)])
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda t: calls.append(len(t)) or eigh(t))
+        v = communicability_vector(g)
+        assert (v.converged, v.iterations_used) == (True, 2 * 16 - 1)
+        assert calls == [*range(2, 9), 16]
+        exp, _, _ = _run_series(g, "exponential", np.ones(3000), None,
+                                GainParams(tolerance=1e-15))
+        assert rel_err(v.scores, exp) <= 1e-9
+
+
 class TestSeriesEngine:
     @pytest.mark.parametrize("star", [0.9, 0.99])
     def test_tail_bound_holds_the_tolerance(self, star):
@@ -365,7 +459,8 @@ class TestSeriesEngine:
             k += 1
             if np.linalg.norm(term) < tol * (1 - q) / q * np.linalg.norm(acc):
                 break
-        v = geometric_potential_gain(g, GainParams(delta=delta, tolerance=tol))
+        # the truncated series is the one gain_with_trace sums
+        v, _ = gain_with_trace(g, GainParams(delta=delta, tolerance=tol))
         assert np.array_equal(v.scores, acc)
         assert v.iterations_used == k
 
@@ -382,8 +477,10 @@ class TestStopReasons:
         assert (v.stop_reason, v.converged, v.iterations_used) == ("max_k", True, 3)
 
     def test_safety_cap_is_not_converged(self, k3, monkeypatch):
+        # the series' own cap, reached by gain_with_trace's series
         monkeypatch.setattr(gain, "SAFETY_MAX_TERMS", 4)
-        v = exponential_potential_gain(k3, GainParams(tolerance=1e-12))
+        v, _ = gain_with_trace(k3, GainParams(tolerance=1e-12),
+                               kind="exponential")
         assert (v.stop_reason, v.converged, v.iterations_used) == (
             "safety_cap", False, 4)
 
