@@ -29,7 +29,7 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
     """Fractional (average-tie) ranks, 1-based."""
     v = np.asarray(values, dtype=np.float64)
     n = v.size
-    order = np.argsort(v, kind="stable")
+    order = np.argsort(v)  # ties share one rank: their order is free
     sv = v[order]
     boundary = np.empty(n, dtype=bool)
     boundary[0] = True
@@ -106,8 +106,8 @@ def delta_sweep(
     """Correlate GPG (and Katz) against the fixed baselines across the grid.
 
     One Lanczos pass gives lambda1, the EC column, the Katz vector at
-    every delta = delta_star / lambda1 and u = exp(A - theta I) 1, in about
-    twice the steps of the longest of them (more when lambda1 restarts).
+    every delta = delta_star / lambda1 and u = exp(A - theta I) 1, in
+    twice the steps of the longest of them, less one.
     GPG = A Katz (``gain._gpg_from_katz``). EPG = e^theta A u has the ranks
     of A u, which float64 holds whatever lambda1 is. Katz = 1 + delta * GPG
     (the identity Katz = 1 + delta A Katz) is strictly increasing in GPG, so

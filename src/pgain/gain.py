@@ -224,10 +224,11 @@ def _snapshot(params, delta=None, lambda1=None) -> dict:
 
 def _krylov(g, params, lambda1=None, geometric=False, exponential=False,
             rules=(), eigenvectors=False, max_iter=spectral.DEFAULT_MAX_ITER):
-    """One ``spectral._lanczos`` pass for the converged gains: Katz at
-    ``params``' decay (``geometric``) and exp(A - shift I) 1
-    (``exponential``), to ``params.tolerance``, each within ``max_iter``
-    SpMVs of pass and replay, besides the lambda1 ``rules``. Katz needs
+    """One ``spectral._lanczos`` pass, one recurrence from the uniform
+    vector, for the converged gains: Katz at ``params``' decay
+    (``geometric``) and exp(A - shift I) 1 (``exponential``), to
+    ``params.tolerance``, each within ``max_iter`` SpMVs of pass and replay
+    (m steps cost 2m - 1), besides the lambda1 ``rules``. Katz needs
     lambda1: the caller's (checked, taken as exact) or, without it, the
     estimate of ``rules[0]``, which defaults to the lambda1 rule of
     ``spectral.lanczos``. Returns the estimates and the pass."""

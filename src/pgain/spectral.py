@@ -1,17 +1,17 @@
 """Two-pass Lanczos: lambda1, the principal eigenvector, Katz and exp(A) 1.
 
-``lanczos`` runs the Lanczos three-term recurrence on A from the uniform
-vector without storing a basis. Pass 1 builds the tridiagonal T_m and
-stops once the top Ritz pair (theta, s) of T_m has a Ritz residual
-beta_m |s_m| of at most ``10 * tol * theta``. Pass 2 replays the same
-recurrence, bit for bit, and sums s_j q_j into the Ritz vector, the
-eigenvector (EC) column; callers that need only lambda1 skip it. Every
-``KRYLOV_DIM`` steps the recurrence restarts from the current Ritz vector,
-so the dense eigensolve of T_m stays small on graphs with a slow spectral
-gap. The top Ritz value is the largest one, not the largest in modulus, so
-bipartite graphs give +lambda1. The recurrence does not depend on the
-tolerance, so one run serves several stop rules (lambda1 and the EC
-column).
+``lanczos`` runs one Lanczos recurrence on A from the uniform vector,
+without a stored basis, restarts or reorthogonalization: lost
+orthogonality leaves the extreme Ritz pairs accurate (Paige 1976, 1980).
+Pass 1 builds the tridiagonal T_m and stops once the top Ritz pair
+(theta, s) of T_m, from ``_top_pair`` in O(m) per bisection step, has a
+Ritz residual beta_m |s_m| of at most ``10 * tol * theta``; the rule is
+checked at every step up to ``KRYLOV_DIM``, then every ``KRYLOV_DIM``
+steps and at the cap. Pass 2 replays the same recurrence, bit for bit,
+and sums s_j q_j into the Ritz vector, the eigenvector (EC) column;
+callers that need only lambda1 skip it. The top Ritz value is the
+largest one, not the largest in modulus, so bipartite graphs give
++lambda1. One run serves several stop rules (lambda1 and the EC column).
 
 Every other vector the package converges is a function of A applied to
 the ones vector, so it lies in the same Krylov space of the uniform start,
@@ -22,18 +22,16 @@ and ``_lanczos`` gives it from the same pass and replay:
   the LDL^T pivots of I - delta T_m per decay;
 * exp(A - theta I) 1 = sqrt(n) Q_m exp(T_m - theta I) e_1 (Saad 1992), with
   theta the top Ritz value, so it never overflows: ``_exp_rule`` takes it
-  from the eigenpairs of T_m that the Ritz rule computes at every step.
-
-lambda1's restarts continue only the eigensolve: Katz and exp read the
-steps of the first, unrestarted cycle.
+  from every eigenpair of T_m (``numpy.linalg.eigh``), on the same check
+  schedule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count, islice
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -44,7 +42,7 @@ from pgain.vectors import CentralityVector
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
-KRYLOV_DIM = 64  # Lanczos steps before a restart from the Ritz vector
+KRYLOV_DIM = 64  # check interval of the stop rules, after every step up to it
 
 
 @dataclass(frozen=True)
@@ -92,10 +90,12 @@ def lanczos(
 
     A rule is met when the Ritz residual is at most ``10 * tol * lambda1``.
     ``max_iter`` caps the SpMVs spent; a rule whose next step would pass
-    its cap stops with ``converged=False``. With ``eigenvectors=False`` the
-    final replay is skipped: each estimate's ``eigenvector`` is None, its
-    lambda1 is the same, and it costs only the pass-1 steps (plus the
-    replays of any restarts). Each estimate is exactly what a call with
+    its cap stops with ``converged=False``; m steps cost 2m - 1 SpMVs, the
+    pass and the replay that builds the eigenvector. With
+    ``eigenvectors=False`` the replay is skipped: each estimate's
+    ``eigenvector`` is None, its lambda1 is the same, and it costs m SpMVs.
+    Past ``KRYLOV_DIM`` steps a rule is checked only every ``KRYLOV_DIM``
+    steps and at its cap. Each estimate is exactly what a call with
     that rule alone returns, and the run costs the SpMVs of its longest
     rule. On a disconnected graph the eigenvector is the projection of the
     uniform start onto the top eigenspace, supported on the components with
@@ -112,151 +112,154 @@ def _lanczos(g, rules, eigenvectors, decays=None, tol=None, exp=False,
     the estimate of the first rule, or the caller's ``lambda1``, taken as
     exact, when there are no rules. Returns the estimates and a ``_Pass``.
 
-    The pass runs max(m, m_j, m_e) steps, m those of lambda1, m_j those of
-    decay j and m_e those of exp, and one replay of max(m, m_j, m_e) - 1
-    SpMVs builds every vector. After a restart of lambda1 the Katz and exp
-    vectors take a replay of their own from the uniform vector,
-    max(m_j, m_e) - 1 SpMVs, and max(m_j, m_e) more if they need steps past
-    the first cycle. The replay holds three n-vectors besides the wanted
-    ones; they are returned in ``free``. An empty graph raises
-    ``ParameterError``.
+    The pass runs until the lambda1 rules and the exp rule have stopped,
+    then as long as the Katz solve reads steps: max(m, m_j, m_e) steps, m
+    those of lambda1, m_j those of decay j and m_e those of exp. One replay
+    of max(m, m_j, m_e) - 1 SpMVs builds every vector. The replay holds
+    three n-vectors besides the wanted ones; they are returned in ``free``.
+    An empty graph raises ``ParameterError``.
     """
     for rule_tol, max_iter in rules:
         check_tolerance(rule_tol)
         check_cap(max_iter, "max_iter")
     n = check_graph(g)
 
-    uniform = start = 1.0 / math.sqrt(n)  # later a Ritz vector
+    uniform = 1.0 / math.sqrt(n)
     buffers = [np.empty(n) for _ in range(3)]  # q_prev, q, w
-    tri = np.zeros((KRYLOV_DIM + 1, KRYLOV_DIM))  # T_m, lower triangle
-    kept = [], []  # alpha and beta of the uniform start, kept past a restart
+    alphas, betas = [], []  # T_m, and beta_m
+    # the last step a rule can afford: m steps cost 2m - 1 SpMVs with the
+    # replay, m without
+    caps = [(max_iter + 1) // 2 if eigenvectors else max_iter
+            for _, max_iter in rules]
     exp_stop = None  # (coefficients, shift, steps, met) once exp stops
-    estimates: list[SpectralEstimate | None] = [None] * len(rules)
-    spent = 0  # SpMVs of the finished restart cycles
-    while True:
-        active = [j for j, est in enumerate(estimates) if est is None]
-        stops = {}  # rule -> (Ritz coefficients, theta, cost, converged, residual)
-        recurrence = _recurrence(g, start, buffers)
-        for m, (alpha, beta) in enumerate(recurrence, 1):
-            tri[m - 1, m - 1], tri[m, m - 1] = alpha, beta
-            thetas, vectors = _eigh(tri[:m, :m])
-            if not spent:
-                kept[0].append(alpha)
-                kept[1].append(beta)
-                if exp and exp_stop is None:
-                    exp_stop = _exp_rule(m, beta, thetas, vectors, tol,
-                                         max_steps)
-            theta, s = float(thetas[-1]), vectors[:, -1]
+    stops = {}  # rule -> (Ritz coefficients, theta, cost, converged, residual)
+    recurrence = _recurrence(g, uniform, buffers)
+    for m, (alpha, beta) in enumerate(recurrence, 1):
+        alphas.append(alpha)
+        betas.append(beta)
+        # each rule on the schedule and at its own cap, as if it ran alone
+        scheduled = m <= KRYLOV_DIM or m % KRYLOV_DIM == 0
+        due = [j for j in range(len(rules))
+               if j not in stops and (scheduled or m == caps[j])]
+        if due:
+            theta, s = _top_pair(alphas, betas[:-1])
             residual = beta * abs(float(s[-1]))
-            # pass 1 to step m, plus pass 2 to q_m when the vector is
-            # wanted; after step KRYLOV_DIM the next step follows the
-            # restart's 2 * KRYLOV_DIM - 1 SpMVs
-            cost = spent + (2 * m - 1 if eigenvectors else m)
-            next_cost = (cost + (2 if eigenvectors else 1) if m < KRYLOV_DIM
-                         else spent + 2 * KRYLOV_DIM)
-            for j in active:
-                rule_tol, max_iter = rules[j]
-                met = residual <= 10.0 * rule_tol * theta
-                if met or next_cost > max_iter:
-                    stops[j] = (s, theta, cost, met, residual)
-            active = [j for j in active if j not in stops]
-            if not active or m == KRYLOV_DIM:
-                break
-        wanted = [stop[0] for stop in stops.values()] if eigenvectors else []
-        wanted += [s] if active else []  # the restart vector
-        solved, vectors = [], []  # the uniform start's coefficients, vectors
-        if not active:
-            if rules:  # the decays follow the first rule's lambda1
-                lambda1 = stops[0][1] if 0 in stops else estimates[0].lambda1
-            # the kept steps, then the live recurrence or, after a restart,
-            # a fresh one that runs only if a solve needs more steps
-            steps = _steps(kept, recurrence if not spent else islice(
-                _recurrence(g, uniform, buffers), len(kept[0]), None))
-            if exp and exp_stop is None:
-                exp_stop = _exp_solve(steps, kept, tol, max_steps)
-            deltas = [] if decays is None else decays(lambda1)
-            if deltas:
-                solved = _katz_solve(steps(), n, deltas, lambda1, tol,
-                                     max_steps)
-            katz_steps = [len(y) for y in solved]
-            if exp:  # 1 = sqrt(n) q_1
-                solved.append(math.sqrt(n) * exp_stop[0])
-            if spent:  # the replay below starts from a Ritz vector
-                vectors, solved = _replay(g, uniform, solved, buffers), []
-        sums = _replay(g, start, wanted + solved, buffers)
-        ritz, vectors = sums[:len(wanted)], vectors + sums[len(wanted):]
-        for v in ritz:  # flipped to a positive total and normalised
-            if v.sum() < 0:
-                np.negative(v, out=v)
-            np.maximum(v, 0.0, out=v)  # the Perron vector has no negative entry
-            v /= math.sqrt(v @ v)
-            v.flags.writeable = False
-        for j, (_, theta, cost, met, residual) in stops.items():
-            v = ritz.pop(0) if eigenvectors else None
-            estimates[j] = SpectralEstimate(theta, v, cost, met, residual)
-        if not active:
-            shift, exp_steps, exp_met = (exp_stop[1:] if exp
-                                         else (math.nan, 0, True))
-            return estimates, _Pass(
-                lambda1=lambda1,
-                deltas=deltas,
-                katz=vectors[:len(deltas)],
-                katz_steps=katz_steps,
-                max_steps=max_steps,
-                exp=vectors[-1] if exp else None,
-                shift=shift,
-                exp_steps=exp_steps,
-                exp_met=exp_met,
-                free=buffers,
-            )
-        [start] = ritz
-        spent += 2 * KRYLOV_DIM - 1
+            cost = 2 * m - 1 if eigenvectors else m
+        for j in due:
+            met = residual <= 10.0 * rules[j][0] * theta
+            if met or m == caps[j]:
+                stops[j] = (s, theta, cost, met, residual)
+        if exp and exp_stop is None and (scheduled or m == max_steps):
+            exp_stop = _exp_rule(alphas, betas, tol, max_steps)
+        if len(stops) == len(rules) and (exp_stop or not exp):
+            break
+
+    if rules:  # the decays follow the first rule's lambda1
+        lambda1 = stops[0][1]
+    deltas = [] if decays is None else decays(lambda1)
+    # the kept steps, then the live recurrence while a decay needs more
+    solved = (_katz_solve(chain(zip(alphas, betas), recurrence), n, deltas,
+                          lambda1, tol, max_steps) if deltas else [])
+    katz_steps = [len(y) for y in solved]
+    if exp:  # 1 = sqrt(n) q_1
+        solved.append(math.sqrt(n) * exp_stop[0])
+    wanted = [stop[0] for stop in stops.values()] if eigenvectors else []
+    sums = _replay(g, uniform, wanted + solved, buffers)
+    ritz, vectors = sums[:len(wanted)], sums[len(wanted):]
+    for v in ritz:  # flipped to a positive total and normalised
+        if v.sum() < 0:
+            np.negative(v, out=v)
+        np.maximum(v, 0.0, out=v)  # the Perron vector has no negative entry
+        v /= math.sqrt(v @ v)
+        v.flags.writeable = False
+    estimates = [None] * len(rules)
+    for j, (_, theta, cost, met, residual) in stops.items():
+        v = ritz.pop(0) if eigenvectors else None
+        estimates[j] = SpectralEstimate(theta, v, cost, met, residual)
+    shift, exp_steps, exp_met = exp_stop[1:] if exp else (math.nan, 0, True)
+    return estimates, _Pass(
+        lambda1=lambda1,
+        deltas=deltas,
+        katz=vectors[:len(deltas)],
+        katz_steps=katz_steps,
+        max_steps=max_steps,
+        exp=vectors[-1] if exp else None,
+        shift=shift,
+        exp_steps=exp_steps,
+        exp_met=exp_met,
+        free=buffers,
+    )
 
 
-def _steps(kept, live):
-    """A function that yields the (alpha, beta) steps of the uniform start
-    from the start: the ``kept`` ones, then those of the recurrence
-    ``live``, which it keeps too."""
-    def steps():
-        for i in count():
-            if i == len(kept[0]):
-                for column, value in zip(kept, next(live)):
-                    column.append(value)
-            yield kept[0][i], kept[1][i]
-    return steps
+def _top_pair(alphas, betas):
+    """The largest eigenvalue theta of the tridiagonal T_m with diagonal
+    ``alphas`` and off-diagonal ``betas``, and its unit Ritz coefficients
+    s, in O(m) operations per bisection step and without LAPACK.
+
+    T_m has an eigenvalue above sigma exactly when an LDL^T pivot of
+    T_m - sigma I is positive (Sylvester's law of inertia; the pivots are
+    those ``_katz_solve`` carries for I - delta T_m, scaled by -delta).
+    Bisection on that test closes a Gershgorin bracket of theta down to
+    adjacent floats. Then s is (sigma I - T_m)^(-3) e_1, normalised, at
+    sigma = theta (1 + 2^-26), where T_m - sigma I is negative definite and
+    its pivots need no guard. Once theta has converged, rounding puts
+    copies of it in T_m that hold almost none of e_1; the solves from e_1
+    weigh them by that share, as the projection of the start onto the top
+    eigenspace does, and damp a Ritz value at gap g below theta by
+    (2^-26 theta / g)^3.
+    """
+    if len(alphas) == 1:
+        return alphas[0], np.ones(1)
+    edges = [0.0, *betas, 0.0]
+    # widened by 1, far beyond rounding at A's scale (its entries are 0, 1)
+    lo = max(alphas) - 1.0
+    hi = max(map(sum, zip(alphas, edges, edges[1:]))) + 1.0
+    tiny = np.finfo(float).eps * (abs(lo) + hi)  # stands in for a zero pivot
+    steps = list(zip(alphas[1:], [beta * beta for beta in betas]))
+
+    def above(sigma):  # is some LDL^T pivot of T_m - sigma I positive?
+        d = alphas[0] - sigma
+        for alpha, square in steps:
+            if d > 0.0:
+                return True
+            d = alpha - sigma - square / (d or -tiny)
+        return d > 0.0
+
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+    sigma = hi * (1.0 + 2.0 ** -26)
+    d = [alphas[0] - sigma]  # the pivots of T_m - sigma I, all < 0
+    for alpha, square in steps:
+        d.append(alpha - sigma - square / d[-1])
+    ratios = [beta / p for beta, p in zip(betas, d)]  # L's subdiagonal
+    x = [1.0] + [0.0] * (len(d) - 1)  # e_1
+    for _ in range(3):  # x = (T_m - sigma I)^(-1) x, by L D L^T
+        for i, ratio in enumerate(ratios):
+            x[i + 1] -= ratio * x[i]
+        x[-1] /= d[-1]
+        for i in range(len(d) - 2, -1, -1):
+            x[i] = x[i] / d[i] - ratios[i] * x[i + 1]
+    s = np.array(x)
+    return hi, s / math.sqrt(s @ s)
 
 
-def _eigh(tri):
-    """Eigenpairs of the tridiagonal T_m whose lower triangle is ``tri``,
-    ascending; a 1 x 1 matrix needs no eigensolve."""
-    return (np.linalg.eigh(tri) if len(tri) > 1
-            else (tri[0, :1], np.ones((1, 1))))
-
-
-def _exp_rule(m, beta, thetas, vectors, tol, max_steps):
-    """The exp rule at step m, from the eigenpairs of T_m: c_m = exp(T_m -
-    theta I) e_1, theta the top Ritz value, and Saad's a posteriori estimate
-    beta_m |e_m^T c_m| / ||c_m|| of the relative error of Q_m c_m. Returns
-    ``(c_m, theta, m, met)`` once the estimate is at most ``tol`` or step m
-    is the cap, else None."""
+def _exp_rule(alphas, betas, tol, max_steps):
+    """The exp rule at step m = len(alphas), from every eigenpair of T_m
+    (diagonal ``alphas``, off-diagonal ``betas[:-1]``): c_m = exp(T_m -
+    theta I) e_1, theta the top Ritz value, and Saad's a posteriori
+    estimate beta_m |e_m^T c_m| / ||c_m|| of the relative error of Q_m c_m.
+    Returns ``(c_m, theta, m, met)`` once the estimate is at most ``tol``
+    or step m is the cap, else None."""
+    m = len(alphas)
+    thetas, vectors = np.linalg.eigh(np.diag(alphas)
+                                     + np.diag(betas[:-1], -1))
     shift = float(thetas[-1])
     c = vectors @ (np.exp(thetas - shift) * vectors[0])
-    met = beta * abs(float(c[-1])) <= tol * math.sqrt(float(c @ c))
+    met = betas[-1] * abs(float(c[-1])) <= tol * math.sqrt(float(c @ c))
     return (c, shift, m, met) if met or m == max_steps else None
-
-
-def _exp_solve(steps, kept, tol, max_steps):
-    """``_exp_rule`` from the first step past the ``kept`` ones, which it
-    has seen, until it stops. Past ``KRYLOV_DIM`` steps it runs every
-    ``KRYLOV_DIM`` steps, so the eigensolves of T_m cost O(m^2) per step."""
-    alphas, betas = kept
-    for m, _ in islice(enumerate(steps(), 1), len(alphas), None):
-        if m <= KRYLOV_DIM or m % KRYLOV_DIM == 0 or m == max_steps:
-            tridiagonal = np.diag(alphas[:m]) + np.diag(betas[:m - 1], -1)
-            stop = _exp_rule(m, betas[m - 1], *_eigh(tridiagonal), tol,
-                             max_steps)
-            if stop is not None:
-                return stop
 
 
 def eigenvector_centrality(
@@ -267,14 +270,7 @@ def eigenvector_centrality(
     return estimate.centrality(tol)
 
 
-def _katz_solve(
-    steps: Iterable[tuple[float, float]],
-    n: int,
-    deltas: Sequence[float],
-    lambda1: float,
-    tol: float,
-    max_steps: int = DEFAULT_MAX_ITER,
-) -> list[np.ndarray]:
+def _katz_solve(steps, n, deltas, lambda1, tol, max_steps=DEFAULT_MAX_ITER):
     """Coefficients y_j of the Katz vectors x_j = (I - delta_j A)^(-1) 1 =
     Q_m y_j, from the (alpha, beta) ``steps`` of the recurrence from the
     uniform vector on ``n`` nodes.

@@ -18,7 +18,7 @@ from pgain import (
     pagerank,
     parse_edge_list,
 )
-from pgain import cli
+from pgain import cli, spectral
 from pgain.cli import METRICS, main
 from pgain.generate import barabasi_albert_edges, complete_edges, edges_to_text
 
@@ -56,7 +56,8 @@ def ba_file(tmp_path):
 
 @pytest.fixture
 def p500_file(tmp_path):
-    # the path P_500: a slow spectral gap, so the lambda1 solve restarts often
+    # the path P_500: a slow spectral gap, so the lambda1 pass runs 256 steps,
+    # past the 64 checked one by one
     path = tmp_path / "p500.txt"
     path.write_text("".join(f"{i} {i + 1}\n" for i in range(499)))
     return path
@@ -163,8 +164,11 @@ class TestCompute:
         ])
         assert code == 3
 
-    def test_unconverged_lambda1_exits_3(self, tmp_path, capsys):
-        # the path P_3000 has a tiny spectral gap: the lambda1 solve hits its cap
+    def test_unconverged_lambda1_exits_3(self, tmp_path, capsys,
+                                         monkeypatch):
+        # the path P_3000 has a tiny spectral gap: the lambda1 rule is met at
+        # step 1,536, so a cap of 1,000 SpMVs stops it first
+        monkeypatch.setattr(cli, "DEFAULT_MAX_ITER", 1000)
         path = tmp_path / "p3000.txt"
         path.write_text("".join(f"{i} {i + 1}\n" for i in range(2999)))
         code = main(["compute", "--metric", "gpg", "--out", str(tmp_path),
@@ -383,8 +387,10 @@ class TestSweep:
         assert main(["sweep", "--grid", "0.2,abc", str(star_tail_file)]) == 2
         assert "pgain: error:" in capsys.readouterr().err
 
-    def test_power_iteration_cap_exits_3(self, tmp_path, capsys):
-        # the path P_3000 has a tiny spectral gap: the lambda1 solve hits its cap
+    def test_power_iteration_cap_exits_3(self, tmp_path, capsys, monkeypatch):
+        # the path P_3000 has a tiny spectral gap: the lambda1 rule is met at
+        # step 1,536, so a cap of 1,000 SpMVs (500 steps) stops it first
+        monkeypatch.setattr(spectral, "DEFAULT_MAX_ITER", 1000)
         path = tmp_path / "p3000.txt"
         path.write_text("".join(f"{i} {i + 1}\n" for i in range(2999)))
         out = tmp_path / "sweep.csv"

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -338,9 +339,14 @@ class TestParameterValidation:
 
 class TestLambda1Converged:
     """A result that estimated lambda1 itself is converged only if that
-    estimate is. On the path P_3000 the lambda1 solve stops at its cap."""
+    estimate is. On the path P_3000 the lambda1 rule is met at step 1,536,
+    so with the default cap cut to 1,000 SpMVs the solve stops at it."""
 
-    def test_unconverged_lambda1_reaches_the_result(self):
+    def test_unconverged_lambda1_reaches_the_result(self, monkeypatch):
+        # the pass reads spectral.DEFAULT_MAX_ITER, lanczos its default rule
+        monkeypatch.setattr(spectral, "DEFAULT_MAX_ITER", 1000)
+        monkeypatch.setattr(spectral, "lanczos", partial(
+            spectral.lanczos, rules=[(spectral.DEFAULT_TOL, 1000)]))
         g = Graph.from_edges([(i, i + 1) for i in range(2999)])
         params = GainParams(delta_star=0.5)
         gpg = geometric_potential_gain(g, params)
@@ -399,8 +405,8 @@ class TestKrylovPass:
             assert rel_err(scores, expected[name]) <= 1e-9, name
 
     def test_restarted_lambda1_keeps_the_first_cycle(self):
-        # on P_3000 lambda1 restarts after 64 steps; Katz and exp take the
-        # steps of the first, uniform-start cycle
+        # on P_3000 lambda1 needs 1,536 steps, Katz and exp far fewer: they
+        # stop inside the same pass, and the replay builds all of them
         g = Graph.from_edges([(i, i + 1) for i in range(2999)])
         assert lanczos(g)[0].iterations > 2 * KRYLOV_DIM
         vectors, delta = pass_vectors(g)
@@ -415,7 +421,8 @@ class TestKrylovPass:
 
     def test_no_eigensolve_per_step_past_krylov_dim(self, monkeypatch):
         # exp on P_3000 meets 1e-12 at step 14; with KRYLOV_DIM = 8 the rule
-        # is checked at every step up to 8, then at step 16 alone
+        # is checked at every step up to 8, then at step 16 alone, each
+        # time on one eigh of T_m
         monkeypatch.setattr(spectral, "KRYLOV_DIM", 8)
         g = Graph.from_edges([(i, i + 1) for i in range(2999)])
         calls = []
@@ -424,10 +431,24 @@ class TestKrylovPass:
                             lambda t: calls.append(len(t)) or eigh(t))
         v = communicability_vector(g)
         assert (v.converged, v.iterations_used) == (True, 2 * 16 - 1)
-        assert calls == [*range(2, 9), 16]
+        assert calls == [*range(1, 9), 16]
         exp, _, _ = _run_series(g, "exponential", np.ones(3000), None,
                                 GainParams(tolerance=1e-15))
         assert rel_err(v.scores, exp) <= 1e-9
+
+    def test_lambda1_needs_no_eigensolve(self, monkeypatch):
+        # the Ritz rule reads the top pair of T_m alone, without LAPACK; only
+        # the exp rule needs every eigenpair
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda t: calls.append(len(t)))
+        g = Graph.from_edges([(i, i + 1) for i in range(2999)])
+        for graph in (g, ba_graph(300, 3, seed=2)):
+            lanczos(graph)
+            lanczos(graph, eigenvectors=False)
+            assert geometric_potential_gain(graph,
+                                            GainParams(delta_star=0.5)).converged
+        assert calls == []
 
 
 class TestSeriesEngine:

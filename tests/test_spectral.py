@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from pgain import (
     lanczos,
 )
 import oracle
+from pgain import spectral
 from pgain.generate import complete_edges, grid_edges, ring_edges, star_edges
+from pgain.spectral import _recurrence, _top_pair
 
 from conftest import ba_graph, er_graph
 
@@ -188,34 +191,76 @@ class TestAdversarial:
         np.testing.assert_allclose(est.eigenvector, 1 / math.sqrt(6), atol=1e-12)
 
     def test_p3000_stops_at_its_cap_below_lambda1(self):
+        # the rule is met at step 1,536; a cap of 2,000 SpMVs stops it at 1,000
         exact = 2 * math.cos(math.pi / 3001)
-        est = solve(path_graph(3000))
+        est = solve(path_graph(3000), max_iter=2_000)
         assert not est.converged
-        assert est.iterations <= 10_000
+        assert est.iterations <= 2_000
         assert 0 < exact - est.lambda1 < 1e-6  # a Ritz value is a lower bound
 
     def test_restarts_reach_the_closed_form(self, monkeypatch):
-        # P_500 has a relative gap of about 3e-5 and needs many restarts
+        # P_500 has a relative gap of about 3e-5: the one recurrence runs
+        # past KRYLOV_DIM, where the rule is checked every 64 steps
         n = 500
         g = path_graph(n)
         calls = count_spmv(monkeypatch)
         est = solve(g)
         assert est.converged
         assert len(calls) == est.iterations
-        assert est.iterations > 4 * 127  # each restart costs 2 * 64 - 1 SpMVs
+        assert est.iterations > 2 * spectral.KRYLOV_DIM
         assert est.lambda1 == pytest.approx(2 * math.cos(math.pi / (n + 1)),
                                             abs=1e-14)
         exact = np.sin(np.arange(1, n + 1) * math.pi / (n + 1))
         np.testing.assert_allclose(est.eigenvector, exact / np.linalg.norm(exact),
-                                   atol=1e-4)  # the gap limits the vector
+                                   atol=1e-8)
+
+    @pytest.mark.parametrize("rows, cols", [(1, 3000), (150, 150)],
+                             ids=["p3000", "grid150x150"])
+    def test_slow_gap_vector_matches_the_closed_form(self, rows, cols):
+        # P_r x P_c: lambda1 = 2 cos(pi/(r+1)) + 2 cos(pi/(c+1)), and the
+        # eigenvector is the outer product of sin(k pi/(r+1)) and
+        # sin(l pi/(c+1)); a lost Ritz vector would show in the L2 error
+        g = Graph.from_edges(grid_edges(rows, cols))
+        est = solve(g)
+        assert est.converged
+        exact = (2 * math.cos(math.pi / (rows + 1))
+                 + 2 * math.cos(math.pi / (cols + 1)))
+        assert abs(est.lambda1 - exact) <= 1e-13 * exact
+        row, col = np.divmod(np.array(g.labels, dtype=np.int64), cols)
+        v = (np.sin((row + 1) * math.pi / (rows + 1))
+             * np.sin((col + 1) * math.pi / (cols + 1)))
+        assert np.linalg.norm(est.eigenvector - v / np.linalg.norm(v)) <= 1e-6
+
+    def test_shared_lambda1_gives_the_projection_of_the_start(self):
+        # the extended Dynkin diagram D~ (a path of 600 with two leaves at
+        # each end) and the star S_4 both have lambda1 = 2, with the
+        # eigenvectors (1, 1, 2, ..., 2, 1, 1) and (2, 1, 1, 1, 1); D~'s
+        # slow gap keeps the pass running long after lambda1 has converged
+        core = 600
+        edges = [(i, i + 1) for i in range(core - 1)]
+        edges += [(0, core), (0, core + 1), (core - 1, core + 2),
+                  (core - 1, core + 3)]
+        edges += [(core + 4, core + 4 + leaf) for leaf in range(1, 5)]
+        g = Graph.from_edges(edges)
+        dynkin = np.where(np.arange(g.node_count) < core, 2.0, 1.0)
+        dynkin[core + 4:] = 0.0
+        star = np.zeros(g.node_count)
+        star[core + 4:] = [2.0, 1.0, 1.0, 1.0, 1.0]
+        label = np.array(g.labels, dtype=np.int64)
+        projection = sum(u.sum() / (u @ u) * u for u in (dynkin, star))[label]
+        est = solve(g, tol=1e-12)
+        assert est.converged
+        assert est.lambda1 == pytest.approx(2.0, abs=1e-12)
+        assert np.linalg.norm(
+            est.eigenvector - projection / np.linalg.norm(projection)) <= 1e-8
 
     @pytest.mark.parametrize("cap, spent", [
-        (126, 125), (127, 127), (128, 128), (129, 128), (254, 254), (255, 255),
-        (256, 255),
+        (126, 125), (127, 127), (128, 127), (129, 129), (254, 253),
+        (255, 255), (256, 255),
     ])
     def test_cap_is_strict_across_restarts(self, cap, spent, monkeypatch):
-        # step m of a cycle costs 2m - 1 SpMVs with its replay; a cycle of
-        # 64 steps costs 127, and the first step after a restart 1 more
+        # step m costs 2m - 1 SpMVs with its replay; past KRYLOV_DIM = 64
+        # steps the rule is checked every 64 steps, and at the cap step
         g = path_graph(500)
         calls = count_spmv(monkeypatch)
         est = solve(g, max_iter=cap)
@@ -230,6 +275,43 @@ class TestAdversarial:
         np.testing.assert_allclose(est.eigenvector, 1 / math.sqrt(3))
 
 
+class TestTopPair:
+    """``_top_pair``, the Ritz rule's O(m) eigensolve, against
+    ``numpy.linalg.eigh``, and the steps at which the rule runs."""
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 60, 250])
+    def test_matches_eigh(self, m):
+        # the T_m of the recurrence from the uniform vector on a BA graph;
+        # from m = 60 on, rounding has made copies of its top eigenvalue,
+        # and s is e_1's projection onto their eigenvectors, the Ritz
+        # coefficients of the start's projection onto A's top eigenvector;
+        # the solves' rounding mixes the copies by about 2^-52 ||T_m|| over
+        # the shift's 2^-26 theta, 3e-8
+        g = ba_graph(300, 3, seed=m)
+        buffers = [np.empty(300) for _ in range(3)]
+        steps = list(islice(_recurrence(g, 1 / math.sqrt(300), buffers), m))
+        alphas, betas = [a for a, _ in steps], [b for _, b in steps[:-1]]
+        theta, s = _top_pair(alphas, betas)
+        values, vectors = np.linalg.eigh(
+            np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        assert abs(theta - values[-1]) <= 4e-15 * values[-1]
+        top = values >= (1 - 1e-10) * values[-1]
+        p = vectors[:, top] @ vectors[0, top]
+        p /= np.linalg.norm(p)
+        assert min(np.linalg.norm(s - p), np.linalg.norm(s + p)) <= 1e-7
+
+    def test_rule_checked_on_the_krylov_dim_schedule(self, monkeypatch):
+        # with KRYLOV_DIM = 8: every step up to 8, then every 8 steps, and
+        # the cap step (a cap of 85 SpMVs affords 43 steps, 2 * 43 - 1)
+        monkeypatch.setattr(spectral, "KRYLOV_DIM", 8)
+        checked = []
+        monkeypatch.setattr(spectral, "_top_pair", lambda a, b: checked.append(
+            len(a)) or _top_pair(a, b))
+        est = solve(path_graph(500), max_iter=85)
+        assert (est.converged, est.iterations) == (False, 85)
+        assert checked == [*range(1, 9), 16, 24, 32, 40, 43]
+
+
 class TestLanczosRules:
     """One Lanczos run with several stop rules equals one call per rule."""
 
@@ -239,6 +321,7 @@ class TestLanczosRules:
         (1e-6, 10_000),
         (1e-8, 10_000),  # a --tol looser than 1e-10
         (1e-12, 3),  # the cap binds first
+        (1e-12, 201),  # a cap at step 101, off the KRYLOV_DIM schedule
     ]
 
     @pytest.mark.parametrize(
@@ -295,7 +378,7 @@ class TestLambda1Only:
 
     @pytest.mark.parametrize(
         "g", [ba_graph(300, 3, seed=11), path_graph(30), path_graph(500)],
-        ids=["ba", "path30", "path500-restarts"],
+        ids=["ba", "path30", "path500-restarts"],  # P_500 runs past KRYLOV_DIM
     )
     def test_same_lambda1_for_the_pass_1_steps(self, g, monkeypatch):
         rules = [(1e-10, 10_000), (1e-6, 10_000)]
@@ -306,19 +389,18 @@ class TestLambda1Only:
             assert (est.lambda1, est.residual, est.converged) == (
                 ref.lambda1, ref.residual, ref.converged)
             assert est.eigenvector is None
-            # a cycle of m steps costs 2m - 1 SpMVs with its replay, m without
-            cycles, m = divmod(ref.iterations, 2 * 64 - 1)
-            assert est.iterations == cycles * (2 * 64 - 1) + (m + 1) // 2
+            # m steps cost 2m - 1 SpMVs with the replay, m without
+            assert est.iterations == (ref.iterations + 1) // 2
         assert len(calls) == max(est.iterations for est in cheap)
 
     @pytest.mark.parametrize("cap, spent", [
-        (63, 63), (64, 64), (127, 64), (128, 128), (129, 129), (191, 191),
-        (254, 191), (255, 255),
+        (63, 63), (64, 64), (127, 127), (128, 128), (129, 129), (191, 191),
+        (254, 254), (255, 255),
     ])
     def test_cap_is_strict_across_restarts(self, cap, spent, monkeypatch):
-        # step m of a cycle costs one SpMV; a restart still replays the
-        # cycle's 63 SpMVs for its start vector
-        g = path_graph(500)
+        # step m costs one SpMV, whether the cap falls on the KRYLOV_DIM
+        # schedule or between its checks; P_3000 meets the rule at 1,536
+        g = path_graph(3000)
         calls = count_spmv(monkeypatch)
         [est] = lanczos(g, [(1e-10, cap)], eigenvectors=False)
         assert not est.converged
