@@ -32,6 +32,7 @@ import time
 from contextlib import nullcontext
 from functools import partial
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -56,7 +57,7 @@ from pgain.spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, lanczos
 from pgain.vectors import CentralityVector
 
 METRICS = ("deg", "ec", "pr", "katz", "gpg", "epg")
-CSV_CHUNK_ROWS = 8192  # rows per write, so no CSV is held whole in memory
+CSV_CHUNK_ROWS = 8192  # rows (JSON scores) per write: no file is held whole
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -287,7 +288,7 @@ def _cmd_sweep(args) -> int:
     else:
         payload = {"alpha": result.alpha, "lambda1": result.lambda1,
                    "rows": [dict(zip(names, row)) for row in zip(stars, *rho)]}
-        _emit(args.out, json.dumps(payload, indent=2) + "\n")
+        _emit(args.out, [json.dumps(payload, indent=2) + "\n"])
     if not result.converged:
         print("pgain: warning: a computation stopped at its iteration cap"
               " before converging", file=sys.stderr)
@@ -305,7 +306,7 @@ def _cmd_convergence(args) -> int:
     else:
         payload = {"metric": trace.metric, "params": trace.params,
                    "points": trace.errors}
-        _emit(args.out, json.dumps(payload, indent=2) + "\n")
+        _emit(args.out, [json.dumps(payload, indent=2) + "\n"])
     return EXIT_OK if vector.converged else EXIT_NOT_CONVERGED
 
 
@@ -327,7 +328,7 @@ def _cmd_generate(args) -> int:
         print(f"pgain: error: bad parameters for {args.kind!r}: {args.params}"
               f"{reason}", file=sys.stderr)
         return EXIT_PARAMS
-    _emit(args.out, generate.edges_to_text(edges))
+    _emit(args.out, [generate.edges_to_text(edges)])
     return EXIT_OK
 
 
@@ -352,7 +353,7 @@ def _write_csv(out, header: str, row: str, *columns) -> None:
     file ``out``, or to stdout when it is None. One ``%`` operation formats
     each chunk of ``CSV_CHUNK_ROWS`` rows."""
     width, row = len(columns), row + "\n"
-    with (nullcontext(sys.stdout) if out is None else open(out, "w")) as handle:
+    with _open_out(out) as handle:
         handle.write(header + "\n")
         for i in range(0, len(columns[0]), CSV_CHUNK_ROWS):
             chunk = [c[i:i + CSV_CHUNK_ROWS] for c in columns]
@@ -363,24 +364,32 @@ def _write_csv(out, header: str, row: str, *columns) -> None:
             handle.write(row * len(chunk[0]) % tuple(cells))
 
 
-def _json_scores(head: dict, labels, scores: np.ndarray) -> str:
-    """``json.dumps(dict(head, scores=dict(zip(labels, scores))), indent=2)``
-    and a newline. ``indent`` takes json's pure-Python encoder, so the
-    scores map, the bulk of the text, is encoded without it, by the C
-    encoder, with its items joined as ``indent=2`` joins them (encoded
-    strings hold no raw newline)."""
-    scores = json.dumps(dict(zip(labels, scores.tolist())),
-                        separators=(",\n    ", ": "))
-    if len(scores) > 2:  # "{}" stays as it is
-        scores = "{\n    " + scores[1:-1] + "\n  }"
-    return json.dumps(head, indent=2)[:-2] + ',\n  "scores": ' + scores + "\n}\n"
+def _json_scores(head: dict, labels, scores: np.ndarray) -> Iterator[str]:
+    """The text of ``json.dumps(dict(head, scores=dict(zip(labels,
+    scores))), indent=2)`` and a newline, in pieces. ``indent`` takes json's
+    pure-Python encoder, so the scores map, the bulk of the text, is encoded
+    without it, by the C encoder, ``CSV_CHUNK_ROWS`` entries at a time, with
+    its items joined as ``indent=2`` joins them (encoded strings hold no raw
+    newline)."""
+    yield json.dumps(head, indent=2)[:-2] + ',\n  "scores": {'
+    sep = ",\n    "
+    for i in range(0, len(labels), CSV_CHUNK_ROWS):
+        chunk = dict(zip(labels[i:i + CSV_CHUNK_ROWS],
+                         scores[i:i + CSV_CHUNK_ROWS].tolist()))
+        items = json.dumps(chunk, separators=(sep, ": "))[1:-1]
+        yield ("\n    " if i == 0 else sep) + items
+    yield "\n  }\n}\n" if len(labels) else "}\n}\n"
 
 
-def _emit(out: str | None, text: str) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+def _emit(out: str | None, pieces: Iterable[str]) -> None:
+    """Write the text ``pieces`` in turn to the file ``out``, or to stdout
+    when it is None."""
+    with _open_out(out) as handle:
+        handle.writelines(pieces)
+
+
+def _open_out(out):
+    return nullcontext(sys.stdout) if out is None else open(out, "w")
 
 
 if __name__ == "__main__":

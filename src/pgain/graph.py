@@ -161,7 +161,8 @@ class Graph:
              out: np.ndarray | None = None) -> np.ndarray:
         """Return ``scale * (A @ x)``.
 
-        Deterministic: per-row summation follows the sorted neighbor order.
+        Deterministic: each row is summed from 0.0 in its sorted neighbor
+        order, on either kernel backend, so both give the same bits.
         ``out``, when given, must be a float64 buffer of the right length
         not aliasing ``x`` (iteration loops reuse buffers to avoid a fresh
         allocation per product).

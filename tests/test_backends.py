@@ -1,6 +1,9 @@
-"""The compiled and pure-Python kernels must agree on every graph shape."""
+"""The compiled and numpy kernels must agree bit for bit on every graph
+shape."""
 
 import importlib.util
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +52,18 @@ def run_kernel(kernel, g, x, scale):
     return out
 
 
+def sum_rows_in_order(g, x, scale):
+    """scale * (A @ x), each row summed from 0.0 over its sorted neighbours
+    one addition at a time: the order both kernels keep."""
+    expected = np.empty(g.node_count)
+    for i in range(g.node_count):
+        acc = 0.0
+        for j in g.neighbors(i).tolist():
+            acc += float(x[j])
+        expected[i] = scale * acc
+    return expected
+
+
 def test_backend_selected():
     assert backend.BACKEND in ("cython", "python")
 
@@ -69,7 +84,7 @@ def test_backends_agree(ckernels, seed):
     x = rng.standard_normal(g.node_count)
     fast = run_kernel(ckernels.spmv_csr, g, x, 0.31)
     slow = run_kernel(_pykernels.spmv_csr, g, x, 0.31)
-    np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-14)
+    assert np.array_equal(fast, slow)
 
 
 def test_backends_agree_on_delta_sweep(ckernels, monkeypatch):
@@ -81,9 +96,10 @@ def test_backends_agree_on_delta_sweep(ckernels, monkeypatch):
         results.append(delta_sweep(g))
     fast, slow = results
     assert fast.converged and slow.converged
+    assert fast.lambda1 == slow.lambda1
     for column in SWEEP_COLUMNS:
         np.testing.assert_allclose(fast.rho[column], slow.rho[column],
-                                   rtol=0, atol=1e-12)
+                                   rtol=0, atol=0)
 
 
 @pytest.mark.parametrize("edges", [
@@ -92,15 +108,70 @@ def test_backends_agree_on_delta_sweep(ckernels, monkeypatch):
     [(0, 2), (0, 3), (1, 1), (2, 3), (4, 4)],  # nodes 1 and 4 have no edges
 ], ids=["ba", "er", "empty-rows"])
 def test_compiled_kernel_sums_rows_in_order(ckernels, edges):
+    # the numpy kernel too: both sum each row from 0.0 over its sorted
+    # neighbours, one addition at a time
     g = Graph.from_edges(edges)
     x = np.random.default_rng(7).standard_normal(g.node_count)
-    expected = np.empty(g.node_count)
-    for i in range(g.node_count):
-        acc = 0.0
-        for j in g.indices[g.indptr[i]:g.indptr[i + 1]]:
-            acc += float(x[j])
-        expected[i] = 0.37 * acc
-    assert np.array_equal(run_kernel(ckernels.spmv_csr, g, x, 0.37), expected)
+    expected = sum_rows_in_order(g, x, 0.37)
+    for kernel in (ckernels.spmv_csr, _pykernels.spmv_csr):
+        assert np.array_equal(run_kernel(kernel, g, x, 0.37), expected)
+
+
+@pytest.mark.parametrize("edges", [
+    # a star whose hub row is longer than a block, between short rows
+    [(0, 1), (1, 2)] + [(2, leaf) for leaf in range(3, _pykernels.BLOCK + 100)],
+    # more than 65,536 loop-only (empty) rows in a row, between edges
+    [(0, 1)] + [(v, v) for v in range(2, 70_002)] + [(70_002, 1), (70_003, 0)],
+], ids=["row-longer-than-block", "70k-empty-rows"])
+def test_python_kernel_block_edges(edges):
+    g = Graph.from_edges(edges)
+    x = np.random.default_rng(3).standard_normal(g.node_count)
+    assert np.array_equal(run_kernel(_pykernels.spmv_csr, g, x, 0.37),
+                          sum_rows_in_order(g, x, 0.37))
+
+
+def test_python_kernel_replans_a_writeable_indptr():
+    # a writeable indptr may change between calls: no plan may outlive it
+    indptr = np.array([0, 1, 2, 2], dtype=np.int64)
+    indices = np.array([1, 0], dtype=np.int64)
+    x = np.array([2.0, 3.0, 5.0])
+    out = np.empty(3)
+    _pykernels.spmv_csr(indptr, indices, x, 1.0, out)
+    np.testing.assert_array_equal(out, [3.0, 2.0, 0.0])
+    indptr[1:] = [0, 1, 2]  # node 0 loses its edge, node 2 takes it
+    indices[:] = [2, 1]
+    _pykernels.spmv_csr(indptr, indices, x, 1.0, out)
+    np.testing.assert_array_equal(out, [0.0, 5.0, 3.0])
+
+
+def test_concurrent_spmv_on_one_graph(monkeypatch):
+    # more threads than cores, switching often, on one graph and one plan
+    # of the numpy kernel: a buffer shared between calls would mix their
+    # products
+    monkeypatch.setattr(backend, "spmv_csr", _pykernels.spmv_csr)
+    g = Graph.from_edges(barabasi_albert_edges(20_000, 3, seed=4))
+    xs = np.random.default_rng(8).standard_normal((4, g.node_count))
+    expected = [g.spmv(x, scale=0.5) for x in xs]
+    got = [[] for _ in xs]
+
+    def work(k):
+        for _ in range(20):
+            got[k].append(g.spmv(xs[k], scale=0.5))
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(len(xs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for want, runs in zip(expected, got):
+        assert len(runs) == 20
+        assert all(np.array_equal(want, r) for r in runs)
 
 
 def _read_only(a):
@@ -124,7 +195,7 @@ def test_compiled_kernel_rejects_bad_calls(ckernels, bad):
 
 
 def test_python_kernel_empty_rows():
-    # trailing isolated node exercises the nonempty-row reduceat path
+    # a trailing isolated node ends the last block with an empty row
     g = Graph.from_edges([(0, 1), (2, 2)])
     assert g.node_count == 3
     x = np.array([2.0, 3.0, 5.0])

@@ -301,8 +301,19 @@ class TestComputeSharedWork:
                 "iterations": 3, "converged": True}
         scores = np.linspace(-1e300, 1e-300, len(labels))
         payload = dict(head, scores=dict(zip(labels, scores.tolist())))
-        assert (cli._json_scores(head, labels, scores)
+        assert ("".join(cli._json_scores(head, labels, scores))
                 == json.dumps(payload, indent=2) + "\n")
+
+    @pytest.mark.parametrize("n,chunk", [(23, 7), (21, 7), (7, 7), (1, 7)])
+    def test_json_scores_bytes_across_chunks(self, monkeypatch, n, chunk):
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
+        head = {"metric": "x", "converged": False}
+        labels = tuple(f'n"{i}' for i in range(n))
+        scores = np.random.default_rng(n).standard_normal(n)
+        pieces = list(cli._json_scores(head, labels, scores))
+        assert len(pieces) == 2 + -(-n // chunk)
+        payload = dict(head, scores=dict(zip(labels, scores.tolist())))
+        assert "".join(pieces) == json.dumps(payload, indent=2) + "\n"
 
     def test_overflowing_series_exits_3(self, tmp_path, capsys):
         k760 = tmp_path / "k760.txt"
