@@ -1,8 +1,8 @@
 """Comparison centralities: degree, Katz, PageRank, communicability.
 
 Katz, (I - delta A)^(-1) 1, and communicability, exp(A) 1, come from the
-Lanczos pass of the gains (``gain._krylov``), the same computation as
-``pgain compute``'s ``katz`` and ``epg`` columns: Katz is 1 + delta * GPG
+one gain solve (``gain._solve``), the same computation as ``pgain
+compute``'s ``katz`` and ``epg`` columns: Katz is 1 + delta * GPG
 with GPG = A x from the pass's Katz vector x, certified by x's true
 residual, and communicability is e^shift exp(A - shift I) 1 from the
 Krylov exponential. PageRank is the usual damped power iteration on the
@@ -15,8 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from pgain.errors import check_cap, check_tolerance, check_unit_interval
-from pgain.gain import (DEFAULT_TOLERANCE, GainParams, _exponential_vector,
-                        _geometric_vectors, _krylov)
+from pgain.gain import DEFAULT_TOLERANCE, GainParams, _solve
 from pgain.graph import Graph
 from pgain.spectral import DEFAULT_MAX_ITER
 from pgain.vectors import CentralityVector
@@ -51,9 +50,7 @@ def katz_centrality(
     """
     check_cap(max_iter, "max_iter")
     params = GainParams(delta=delta, tolerance=tolerance)
-    estimates, krylov = _krylov(g, params, lambda1, geometric=True,
-                                max_iter=max_iter)
-    return _geometric_vectors(g, params, krylov, estimates, "max_k")[1]
+    return _solve(g, params, ["katz"], lambda1, max_iter=max_iter)[1]["katz"]
 
 
 def pagerank(
@@ -114,7 +111,5 @@ def communicability_vector(
     raises ``SeriesOverflowError``.
     """
     check_cap(max_iter, "max_iter")
-    params = GainParams(tolerance=tolerance)
-    _, krylov = _krylov(g, params, exponential=True, max_iter=max_iter)
-    return _exponential_vector(g, krylov, "communicability",
-                               {"tolerance": tolerance}, "max_k")
+    return _solve(g, GainParams(tolerance=tolerance), ["communicability"],
+                  max_iter=max_iter)[1]["communicability"]

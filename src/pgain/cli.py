@@ -12,14 +12,15 @@ Exit codes: 0 all requested computations converged, 1 I/O error,
 2 bad parameters or input, 3 a computation failed to converge (stopped at
 an iteration cap, or a series overflowed float64).
 
-``compute`` runs one Lanczos pass from the uniform vector, and only when
-a metric other than ``deg`` and ``pr`` is wanted: it gives lambda1 and the
-``ec`` column (only when ``ec``, ``katz`` or ``gpg`` is wanted; otherwise
-the summary prints ``lambda1=nan``), the Katz vector behind ``katz`` and
-``gpg``, and the Krylov exponential behind ``epg`` (``gain._krylov``);
-without ``ec`` it skips the eigenvector's replay. With ``--max-k`` the
-gains are the paper's truncated walk series instead, and Katz is
-1 + delta * GPG from the one GPG series.
+``compute`` runs PageRank, then one gain solve (``gain._solve``), and
+that only when a metric other than ``deg`` and ``pr`` is wanted, then
+degree. The solve's one Lanczos pass from the uniform vector gives lambda1
+and the ``ec`` column (only when ``ec``, ``katz`` or ``gpg`` is wanted;
+otherwise the summary prints ``lambda1=nan``), the Katz vector behind
+``katz`` and ``gpg``, and the Krylov exponential behind ``epg``; without
+``ec`` it skips the eigenvector's replay. With ``--max-k`` the gains are
+the paper's truncated walk series instead, and Katz is 1 + delta * GPG
+from the one GPG series.
 """
 
 from __future__ import annotations
@@ -39,19 +40,9 @@ import numpy as np
 from pgain import analysis, baselines, generate
 from pgain.baselines import DEFAULT_ALPHA
 from pgain.errors import (ParameterError, PgainError, SeriesOverflowError,
-                          check_cap, check_tolerance, check_unit_interval)
-from pgain.gain import (
-    DEFAULT_TOLERANCE,
-    GainParams,
-    _exponential_vector,
-    _geometric_vectors,
-    _katz,
-    _krylov,
-    _snapshot,
-    exponential_potential_gain,
-    gain_with_trace,
-    geometric_potential_gain,
-)
+                          check_cap, check_graph, check_tolerance,
+                          check_unit_interval)
+from pgain.gain import DEFAULT_TOLERANCE, GainParams, _solve, gain_with_trace
 from pgain.graph import Graph, parse_edge_list
 from pgain.spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, lanczos
 from pgain.vectors import CentralityVector
@@ -171,60 +162,41 @@ def _cmd_compute(args) -> int:
     wanted = METRICS if args.metric == "all" else (args.metric,)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    all_converged = True
-    pr_wall = 0.0
+    made = {}  # metric -> (vector, seconds of the call that made it)
     if "pr" in wanted:
         # before the pass: PageRank's temporaries and the pass's vectors
         # together would set the run's peak memory
-        start = time.perf_counter()
-        pr = baselines.pagerank(graph, alpha=args.alpha, tolerance=args.tol,
-                                max_iter=max_iter)
-        pr_wall = time.perf_counter() - start
-    # One Lanczos pass gives lambda1, the EC column, Katz (and with it GPG)
-    # and the Krylov exponential (EPG), each only when a wanted metric
-    # needs it; --max-k asks for the truncated walk series instead.
+        made["pr"] = _timed(baselines.pagerank, graph, alpha=args.alpha,
+                            tolerance=args.tol, max_iter=max_iter)
+    # One solve gives lambda1, the EC column and the gains, each only when a
+    # wanted metric needs it
     uses_lambda1 = bool({"katz", "gpg"} & set(wanted))
-    series = args.max_k is not None
+    gains = [metric for metric in wanted if metric in ("katz", "gpg", "epg")]
     rules = []
     if uses_lambda1 or "ec" in wanted:
         rules = [(DEFAULT_TOL, DEFAULT_MAX_ITER)]
         if "ec" in wanted:
             rules.append((args.tol, max_iter))
-    geometric = uses_lambda1 and not series
-    exponential = "epg" in wanted and not series
-    estimates, krylov = [], None
-    if rules or exponential:
-        estimates, krylov = _krylov(graph, params, geometric=geometric,
-                                    exponential=exponential, rules=rules,
-                                    eigenvectors="ec" in wanted)
+    estimates = []
+    if rules or gains:
+        (estimates, solved), wall = _timed(_solve, graph, params, gains,
+                                           rules=rules,
+                                           eigenvectors="ec" in wanted)
+        if "ec" in wanted:
+            solved["ec"] = estimates[1].centrality(args.tol)
+        made.update((metric, (v, wall)) for metric, v in solved.items())
+    if "deg" in wanted:
+        made["deg"] = _timed(baselines.degree_centrality, graph)
     lam = estimates[0].lambda1 if estimates else math.nan
+    all_converged = True
     if uses_lambda1 and not estimates[0].converged:
         print("pgain: warning: the lambda1 solve stopped at its iteration"
               " cap before converging", file=sys.stderr)
         all_converged = False
-    gpg = katz = None
     for metric in wanted:
-        start = time.perf_counter()
-        if metric in ("katz", "gpg"):
-            if gpg is None and series:  # one series at delta gives both
-                gpg = geometric_potential_gain(graph, params, lambda1=lam)
-                katz = _katz(gpg)
-            elif gpg is None:
-                gpg, katz = _geometric_vectors(graph, params, krylov,
-                                               estimates, "safety_cap")
-            vector = gpg if metric == "gpg" else katz
-        elif metric == "ec":
-            vector = estimates[1].centrality(args.tol)
-        elif metric == "epg" and series:
-            vector = exponential_potential_gain(graph, params)
-        elif metric == "epg":
-            vector = _exponential_vector(graph, krylov, "epg",
-                                         _snapshot(params), "safety_cap")
-        elif metric == "pr":
-            vector = pr
-        else:
-            vector = baselines.degree_centrality(graph)
-        wall = time.perf_counter() - start + (pr_wall if metric == "pr" else 0)
+        # each vector is dropped once written, so its memory can serve the
+        # next file's text
+        vector, wall = made.pop(metric)
         _summary(graph, lam, vector, wall)
         all_converged &= vector.converged
         path = out_dir / f"{metric}.{args.format}"
@@ -241,11 +213,16 @@ def _cmd_compute(args) -> int:
     return EXIT_OK if all_converged else EXIT_NOT_CONVERGED
 
 
+def _timed(call, *args, **kwargs):
+    """``(call(*args, **kwargs), its wall time in seconds)``."""
+    start = time.perf_counter()
+    return call(*args, **kwargs), time.perf_counter() - start
+
+
 def _read_graph(path) -> Graph:
     """The graph of the edge list at ``path``, which must not be empty."""
     graph = parse_edge_list(path)
-    if graph.node_count == 0:
-        raise ParameterError("empty graph")
+    check_graph(graph)
     return graph
 
 

@@ -7,14 +7,15 @@ Both scores are walk sums over k >= 1 of phi(k) A^k 1:
 * exponential: phi(k) = 1/(k-1)! (no decay parameter); the sum is
   A exp(A) 1, the adjacency applied to the communicability vector.
 
-The converged scores come from the one Lanczos pass of ``spectral`` from
-the uniform vector (``_krylov``): Katz x from its shifted solve, then
-GPG = A x, which also gives x's true residual and certifies it
-(``_gpg_from_katz``), and Katz = 1 + delta GPG; exp(A - theta I) 1 from its
-Krylov exponential, then EPG = e^theta A exp(A - theta I) 1. A score that
-float64 cannot hold raises ``SeriesOverflowError``. The pass serves the
-CLI's ``compute`` and ``sweep`` and the library functions alike
-(``baselines.katz_centrality`` and ``communicability_vector`` too).
+``_solve`` builds every vector of the gains' Krylov space from the one
+Lanczos pass of ``spectral`` from the uniform vector: Katz x from its
+shifted solve, then GPG = A x, which also gives x's true residual and
+certifies it (``_gpg_from_katz``), and Katz = 1 + delta GPG; exp(A - theta I)
+1 from its Krylov exponential, then EPG = e^theta A exp(A - theta I) 1 and
+communicability e^theta exp(A - theta I) 1. A score that float64 cannot
+hold raises ``SeriesOverflowError``. It serves the CLI's ``compute`` and
+the library functions alike (``baselines.katz_centrality`` and
+``communicability_vector`` too).
 
 ``_run_series`` evaluates the paper's truncated walk series, one sparse
 matrix-vector product per term, for the calls that ask for a walk-length
@@ -26,7 +27,7 @@ term is at most term * q / (1 - q), q = delta lambda1; for the exponential
 kind the rule compares the latest term alone. Norms are rescaled when their
 squares overflow, and a series whose sum overflows float64 raises
 ``SeriesOverflowError`` instead of running on. Katz from a geometric series
-is 1 + delta * GPG (``_katz``): GPG = A Katz and Katz = 1 + delta A Katz.
+is 1 + delta * GPG: GPG = A Katz and Katz = 1 + delta A Katz.
 """
 
 from __future__ import annotations
@@ -109,11 +110,7 @@ def geometric_potential_gain(
     ``tolerance`` ||x||, r the true residual of the Katz vector x. With
     ``max_walk_length`` the truncated walk series is summed instead.
     """
-    params = params or GainParams()
-    if params.max_walk_length is not None:
-        return _gain(g, "geometric", params, *_lambda1(g, lambda1))
-    estimates, krylov = _krylov(g, params, lambda1, geometric=True)
-    return _geometric_vectors(g, params, krylov, estimates, "safety_cap")[0]
+    return _solve(g, params or GainParams(), ["gpg"], lambda1)[1]["gpg"]
 
 
 def exponential_potential_gain(
@@ -128,12 +125,7 @@ def exponential_potential_gain(
     instead. A score that float64 cannot hold raises
     ``SeriesOverflowError``.
     """
-    params = params or GainParams()
-    if params.max_walk_length is not None:
-        return _gain(g, "exponential", params)
-    _, krylov = _krylov(g, params, exponential=True)
-    return _exponential_vector(g, krylov, "epg", _snapshot(params),
-                               "safety_cap")
+    return _solve(g, params or GainParams(), ["epg"])[1]["epg"]
 
 
 def crossover_delta(lam: float) -> float:
@@ -222,70 +214,98 @@ def _snapshot(params, delta=None, lambda1=None) -> dict:
     return snapshot
 
 
-def _krylov(g, params, lambda1=None, geometric=False, exponential=False,
-            rules=(), eigenvectors=False, max_iter=spectral.DEFAULT_MAX_ITER):
-    """One ``spectral._lanczos`` pass, one recurrence from the uniform
-    vector, for the converged gains: Katz at ``params``' decay
-    (``geometric``) and exp(A - shift I) 1 (``exponential``), to
-    ``params.tolerance``, each within ``max_iter`` SpMVs of pass and replay
-    (m steps cost 2m - 1), besides the lambda1 ``rules``. Katz needs
-    lambda1: the caller's (checked, taken as exact) or, without it, the
-    estimate of ``rules[0]``, which defaults to the lambda1 rule of
-    ``spectral.lanczos``. Returns the estimates and the pass."""
+def _solve(g, params, metrics, lambda1=None, rules=(), eigenvectors=False,
+           max_iter=None):
+    """``(estimates, {metric: CentralityVector})``: the estimates of the
+    lambda1 ``rules`` (with Ritz vectors when ``eigenvectors``) and the
+    vectors named in ``metrics`` (``"gpg"``, ``"katz"``, ``"epg"``,
+    ``"communicability"``), from one ``spectral._lanczos`` pass.
+
+    The pass solves for Katz x at ``params``' decay and u = exp(A - shift I)
+    1, each to ``params.tolerance`` or until another step would take its
+    pass and replay past ``max_iter`` SpMVs (m steps cost 2m - 1); a solve
+    stopped there reports ``"max_k"``, or ``"safety_cap"`` at the default
+    cap (``max_iter=None``). GPG = A x (one SpMV, which certifies x) and
+    Katz = 1 + delta GPG in x's buffer, one fixed-point step from x, so
+    within delta lambda1 times x's error, converge when the certificate
+    holds. EPG = e^shift A u and communicability e^shift u (in u's buffer)
+    converge when Saad's estimate met the tolerance. Each counts the SpMVs
+    of pass, replay and product. With ``params.max_walk_length`` the pass
+    runs the lambda1 rules alone, GPG and EPG are walk series (``_gain``)
+    and Katz is 1 + delta GPG, converged only when the series' tolerance
+    rule stopped it.
+
+    Katz and GPG need lambda1: the caller's (checked, taken as exact) or the
+    estimate of ``rules[0]``, by default the lambda1 rule of
+    ``spectral.lanczos``, which must converge for them to. A vector that
+    float64 cannot hold raises ``SeriesOverflowError``.
+    """
+    series = params.max_walk_length is not None
+    wanted = set(metrics)
+    geometric = bool({"gpg", "katz"} & wanted)
+    exponential = not series and bool({"epg", "communicability"} & wanted)
     if geometric and lambda1 is not None:
         lambda1 = _lambda1(g, lambda1)[0]
     elif geometric and not rules:
         rules = [(spectral.DEFAULT_TOL, spectral.DEFAULT_MAX_ITER)]
-    decays = (lambda lam: [params.resolve_delta(lam)]) if geometric else None
-    return spectral._lanczos(g, rules, eigenvectors, decays, params.tolerance,
-                             exponential, lambda1, (max_iter + 1) // 2)
+    decays = ((lambda lam: [params.resolve_delta(lam)])
+              if geometric and not series else None)
+    capped = "safety_cap" if max_iter is None else "max_k"
+    max_steps = ((max_iter or spectral.DEFAULT_MAX_ITER) + 1) // 2
+    estimates, krylov = [], None
+    if rules or decays or exponential:
+        estimates, krylov = spectral._lanczos(
+            g, rules, eigenvectors, decays, params.tolerance, exponential,
+            lambda1, max_steps)
+        lambda1 = krylov.lambda1
+    lambda1_converged = not estimates or estimates[0].converged
+    vectors = {}
 
+    if geometric and series:
+        gpg = _gain(g, "geometric", params, lambda1, lambda1_converged)
+        katz = 1.0 + gpg.params["delta"] * gpg.scores
+    elif geometric:
+        [x], [delta], [steps] = krylov.katz, krylov.deltas, krylov.katz_steps
+        [(scores, certified)] = _gpg_from_katz(g, [x], [delta], lambda1,
+                                               params.tolerance, krylov.free)
+        reason = (capped if steps == krylov.max_steps and not certified
+                  else "tolerance")
+        gpg = CentralityVector(scores, "gpg",
+                               _snapshot(params, delta, lambda1), 2 * steps,
+                               certified and lambda1_converged, reason)
+        katz = np.multiply(scores, delta, out=x)
+        katz += 1.0
+    if geometric:
+        vectors["gpg"] = gpg
+        vectors["katz"] = CentralityVector(
+            katz, "katz",
+            {"delta": gpg.params["delta"], "tolerance": params.tolerance},
+            gpg.iterations_used,
+            gpg.converged and gpg.stop_reason == "tolerance", gpg.stop_reason)
 
-def _geometric_vectors(g, params, krylov, estimates, cap_reason):
-    """``(gpg, katz)`` from the Katz vector x of ``krylov``: GPG = A x (one
-    SpMV, which certifies x), then Katz = 1 + delta GPG in x's buffer, one
-    fixed-point step from x, so within delta lambda1 times x's error. Both
-    are converged when the certificate holds and the lambda1 estimate in
-    ``estimates``, if any, converged; each counts its 2m SpMVs (m steps, the
-    replay, A x). ``cap_reason`` is the stop reason when the solve ran to
-    its cap uncertified."""
-    [x], [delta], [steps] = krylov.katz, krylov.deltas, krylov.katz_steps
-    lam = krylov.lambda1
-    [(gpg, certified)] = _gpg_from_katz(g, [x], [delta], lam, params.tolerance,
-                                        krylov.free)
-    np.multiply(gpg, delta, out=x)
-    x += 1.0
-    converged = certified and (not estimates or estimates[0].converged)
-    reason = (cap_reason if steps == krylov.max_steps and not certified
-              else "tolerance")
-    return (
-        CentralityVector(gpg, "gpg", _snapshot(params, delta, lam), 2 * steps,
-                         converged, reason),
-        CentralityVector(x, "katz", {"delta": delta,
-                                     "tolerance": params.tolerance},
-                         2 * steps, converged, reason),
-    )
-
-
-def _exponential_vector(g, krylov, metric, params, cap_reason):
-    """EPG = e^shift A u (``metric="epg"``, with one SpMV into a buffer the
-    pass freed) or exp(A) 1 = e^shift u (``"communicability"``, in u's
-    buffer), u = exp(A - shift I) 1 of ``krylov``. It counts the SpMVs of
-    pass, replay and product; ``converged`` means Saad's estimate met the
-    tolerance, else it reports ``cap_reason``. A vector that float64 cannot
-    hold raises ``SeriesOverflowError``."""
-    u, steps = krylov.exp, 2 * krylov.exp_steps - 1
-    if metric == "epg":
-        u, steps = g.spmv(u, out=krylov.free[2]), steps + 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        u *= np.exp(krylov.shift)
-    if not np.isfinite(u).all():
-        label = "exponential gain" if metric == "epg" else metric
-        raise SeriesOverflowError(
-            f"{label}: the series overflows float64 (lambda1 ="
-            f" {krylov.shift:.6g})")
-    reason = "tolerance" if krylov.exp_met else cap_reason
-    return CentralityVector(u, metric, params, steps, krylov.exp_met, reason)
+    if "epg" in wanted and series:
+        vectors["epg"] = _gain(g, "exponential", params)
+    elif exponential:
+        u, steps = krylov.exp, 2 * krylov.exp_steps - 1
+        reason = "tolerance" if krylov.exp_met else capped
+        # EPG first: A u is taken before u is scaled in place
+        for metric in ("epg", "communicability"):
+            if metric not in wanted:
+                continue
+            v, spent, snapshot = u, steps, {"tolerance": params.tolerance}
+            if metric == "epg":
+                v = g.spmv(u, out=krylov.free[2])
+                spent, snapshot = steps + 1, _snapshot(params)
+            with np.errstate(over="ignore", invalid="ignore"):
+                v *= np.exp(krylov.shift)
+            if not np.isfinite(v).all():
+                label = "exponential gain" if metric == "epg" else metric
+                raise SeriesOverflowError(
+                    f"{label}: the series overflows float64 (lambda1 ="
+                    f" {krylov.shift:.6g})")
+            vectors[metric] = CentralityVector(v, metric, snapshot, spent,
+                                               krylov.exp_met, reason)
+    return estimates, vectors
 
 
 def _gpg_from_katz(g, katz, deltas, lambda1, tol, free):
@@ -312,39 +332,23 @@ def _gpg_from_katz(g, katz, deltas, lambda1, tol, free):
     return results
 
 
-def _katz(gpg: CentralityVector) -> CentralityVector:
-    """Katz = 1 + delta * GPG, from a geometric gain series. It is
-    converged only when the GPG is and its tolerance rule stopped the
-    series, not a walk-length cap; it reports the GPG's SpMV count."""
-    delta = gpg.params["delta"]
-    return CentralityVector(
-        scores=1.0 + delta * gpg.scores,
-        metric="katz",
-        params={"delta": delta, "tolerance": gpg.params["tolerance"]},
-        iterations_used=gpg.iterations_used,
-        converged=gpg.converged and gpg.stop_reason == "tolerance",
-        stop_reason=gpg.stop_reason,
-    )
-
-
 def _run_series(g, kind, first, delta, params, lambda1=None, per_term=None):
     """The one truncated-series loop, shared by every walk-series computation.
 
-    ``first`` is the series' first term: A 1 for the gains, the ones vector
-    for communicability. The loop overwrites it (it becomes one of
-    the two term buffers). Term k + 1 is A times term k, scaled by
-    ``delta`` (``kind="geometric"``) or by 1/k (``"exponential"``, which
-    ignores ``delta`` and ``lambda1``). Returns ``(scores, terms_used,
-    stop_reason)``; the reason is ``"tolerance"``, ``"max_k"`` (the caller's
-    walk-length cap), ``"safety_cap"`` (``SAFETY_MAX_TERMS``) or
-    ``"nonfinite"``. The geometric rule bounds the tail: ||A y|| <=
-    lambda1 ||y||, so the terms after one of norm t sum to at most
-    t q / (1 - q), q = delta ``lambda1``, and the series stops once that is
-    below ``tolerance`` times the sum's norm (q = 1/2 gives the plain rule
-    t < tolerance * norm). The exponential rule compares t itself. A sum
-    that is no longer finite (the series overflows float64) stops at once
-    with reason ``"nonfinite"``. ``per_term(k, acc)`` sees the sum after
-    every term.
+    ``first`` is the series' first term, A 1 for the gains. The loop
+    overwrites it (it becomes one of the two term buffers). Term k + 1 is A
+    times term k, scaled by ``delta`` (``kind="geometric"``) or by 1/k
+    (``"exponential"``, which ignores ``delta`` and ``lambda1``). Returns
+    ``(scores, terms_used, stop_reason)``; the reason is ``"tolerance"``,
+    ``"max_k"`` (the caller's walk-length cap), ``"safety_cap"``
+    (``SAFETY_MAX_TERMS``) or ``"nonfinite"``. The geometric rule bounds the
+    tail: ||A y|| <= lambda1 ||y||, so the terms after one of norm t sum to
+    at most t q / (1 - q), q = delta ``lambda1``, and the series stops once
+    that is below ``tolerance`` times the sum's norm (q = 1/2 gives the
+    plain rule t < tolerance * norm). The exponential rule compares t
+    itself. A sum that is no longer finite (the series overflows float64)
+    stops at once with reason ``"nonfinite"``. ``per_term(k, acc)`` sees the
+    sum after every term.
     """
     if not first.any():  # every later term is zero too: the sum is exact
         if per_term is not None:

@@ -152,9 +152,6 @@ class Graph:
         d.flags.writeable = False
         return d
 
-    def neighbors(self, i: int) -> np.ndarray:
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
-
     # -- numerics -----------------------------------------------------------
 
     def spmv(self, x: np.ndarray, scale: float = 1.0,

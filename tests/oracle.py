@@ -18,12 +18,17 @@ SIZE_GUARD = 64
 _FLOOR = 1e-16  # stop once a term falls below this fraction of the sum
 
 
+def neighbors(g: Graph, i: int) -> np.ndarray:
+    """The sorted neighbours of internal node ``i``: its CSR row."""
+    return g.indices[g.indptr[i]:g.indptr[i + 1]]
+
+
 def dense_adjacency(g: Graph) -> np.ndarray:
     """Exact dense adjacency matrix (n <= 64)."""
     n = _guard(g.node_count)
     a = np.zeros((n, n), dtype=np.float64)
     for i in range(n):
-        a[i, g.neighbors(i)] = 1.0
+        a[i, neighbors(g, i)] = 1.0
     return a
 
 

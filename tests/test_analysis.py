@@ -272,7 +272,7 @@ class TestGridSolve:
         lambda: Graph.from_edges([(0, 0), (1, 1), (2, 2)]),
         two_cliques,
         lambda: Graph.from_edges([(i, i + 1) for i in range(199)]),
-    ], ids=["ba300", "edgeless", "k4+k3", "p200-restarted"])
+    ], ids=["ba300", "edgeless", "k4+k3", "p200-past-krylov-dim"])
     def test_shared_pass_matches_separate_solves(self, make):
         # the sweep's one pass returns, bit for bit, what lanczos and a Katz
         # solve of its own return, also where lambda1 runs past KRYLOV_DIM

@@ -11,6 +11,7 @@ import pytest
 import pgain
 from pgain import (
     GainParams,
+    eigenvector_centrality,
     exponential_potential_gain,
     geometric_potential_gain,
     katz_centrality,
@@ -266,6 +267,53 @@ class TestComputeSharedWork:
         scores = read_scores(tmp_path / "katz.csv")
         assert np.array_equal([scores[label] for label in g.labels], loop.scores)
 
+    @pytest.mark.parametrize("max_k", [None, 20], ids=["pass", "max-k"])
+    @pytest.mark.parametrize("metric", ["katz", "gpg", "epg", "ec"])
+    def test_column_agrees_wherever_written(self, ba_file, tmp_path, metric,
+                                            max_k):
+        # the file of --metric M is that of --metric all, byte for byte, and
+        # holds the library's vector for the same parameters
+        option = [] if max_k is None else ["--max-k", str(max_k)]
+        for name in (metric, "all"):
+            main(["compute", "--metric", name, *option,
+                  "--out", str(tmp_path / name), str(ba_file)])
+        alone = tmp_path / metric / f"{metric}.csv"
+        assert alone.read_bytes() == (tmp_path / "all" / alone.name).read_bytes()
+        g = parse_edge_list(ba_file)
+        params = GainParams(max_walk_length=max_k)
+        if metric == "ec":
+            expected = eigenvector_centrality(g, 1e-12, max_k or 10_000).scores
+        elif metric == "epg":
+            expected = exponential_potential_gain(g, params).scores
+        else:
+            gpg = geometric_potential_gain(g, params)
+            delta, lam = gpg.params["delta"], gpg.params["lambda1"]
+            expected = gpg.scores
+            if metric == "katz" and max_k is None:
+                expected = katz_centrality(g, delta, lambda1=lam).scores
+            elif metric == "katz":  # the series gives Katz as 1 + delta GPG
+                expected = 1.0 + delta * gpg.scores
+        scores = read_scores(alone)
+        assert np.array_equal([scores[label] for label in g.labels], expected)
+
+    @pytest.mark.parametrize("metric", ["gpg", "katz"])
+    def test_max_k_with_unconverged_lambda1(self, tmp_path, monkeypatch,
+                                            metric):
+        # on P_3000 the lambda1 rule is met at step 1,536: cut to 1,000
+        # SpMVs, the estimate does not converge, and neither does a series
+        # that rests on it, as in the library
+        monkeypatch.setattr(cli, "DEFAULT_MAX_ITER", 1000)
+        path = tmp_path / "p3000.txt"
+        path.write_text("".join(f"{i} {i + 1}\n" for i in range(2999)))
+        assert main(["compute", "--metric", metric, "--max-k", "50",
+                     "--format", "json", "--out", str(tmp_path),
+                     str(path)]) == 3
+        payload = json.loads((tmp_path / f"{metric}.json").read_text())
+        assert payload["converged"] is False
+        monkeypatch.setattr(spectral, "DEFAULT_MAX_ITER", 1000)
+        assert not geometric_potential_gain(
+            parse_edge_list(path), GainParams(max_walk_length=50)).converged
+
     def test_katz_truncated_by_max_k_exits_3(self, k3_file, tmp_path, capsys):
         assert main(["compute", "--metric", "katz", "--max-k", "2",
                      "--out", str(tmp_path), str(k3_file)]) == 3
@@ -322,6 +370,11 @@ class TestComputeSharedWork:
                      str(k760)]) == 3
         err = capsys.readouterr().err
         assert "pgain: error: exponential gain: the series overflows" in err
+        # every column is computed before any file is written
+        out = tmp_path / "all"
+        assert main(["compute", "--metric", "all", "--out", str(out),
+                     str(k760)]) == 3
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("n,chunk", [(5, 8192), (23, 7), (21, 7), (0, 7)])
     def test_csv_writer_bytes(self, tmp_path, monkeypatch, n, chunk):

@@ -362,20 +362,16 @@ class TestLambda1Converged:
 
 
 def pass_vectors(g, delta_star=0.5, tol=1e-12):
-    """Katz, GPG, exp(A) 1 and EPG from the one pass that ``compute`` runs:
-    the lambda1 rule, the Katz solve at delta_star / lambda1 and the Krylov
-    exponential, and their ``delta``. The exponentials must have met their
-    tolerance, and Katz and GPG their certificate."""
+    """Katz, GPG, exp(A) 1 and EPG from one gain solve, as ``compute`` runs
+    it: the lambda1 rule, the Katz solve at delta_star / lambda1 and the
+    Krylov exponential, and their ``delta``. The exponentials must have met
+    their tolerance, and Katz and GPG their certificate."""
     params = GainParams(delta_star=delta_star, tolerance=tol)
-    estimates, krylov = gain._krylov(g, params, geometric=True,
-                                     exponential=True)
-    gpg, katz = gain._geometric_vectors(g, params, krylov, estimates,
-                                        "safety_cap")
-    epg = gain._exponential_vector(g, krylov, "epg", {}, "safety_cap")
-    exp = gain._exponential_vector(g, krylov, "communicability", {},
-                                   "safety_cap")
-    vectors = {"katz": katz, "gpg": gpg, "exp": exp, "epg": epg}
-    assert exp.converged and epg.converged
+    estimates, vectors = gain._solve(
+        g, params, ["katz", "gpg", "communicability", "epg"])
+    vectors["exp"] = vectors.pop("communicability")
+    katz, gpg = vectors["katz"], vectors["gpg"]
+    assert vectors["exp"].converged and vectors["epg"].converged
     # the lambda1 estimate may stop at its cap (P_3000); the certificate not
     assert katz.stop_reason == gpg.stop_reason == "tolerance"
     assert katz.converged == estimates[0].converged
@@ -404,7 +400,7 @@ class TestKrylovPass:
         for name, scores in vectors.items():
             assert rel_err(scores, expected[name]) <= 1e-9, name
 
-    def test_restarted_lambda1_keeps_the_first_cycle(self):
+    def test_slow_lambda1_shares_its_pass(self):
         # on P_3000 lambda1 needs 1,536 steps, Katz and exp far fewer: they
         # stop inside the same pass, and the replay builds all of them
         g = Graph.from_edges([(i, i + 1) for i in range(2999)])

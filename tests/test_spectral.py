@@ -198,7 +198,7 @@ class TestAdversarial:
         assert est.iterations <= 2_000
         assert 0 < exact - est.lambda1 < 1e-6  # a Ritz value is a lower bound
 
-    def test_restarts_reach_the_closed_form(self, monkeypatch):
+    def test_p500_reaches_the_closed_form(self, monkeypatch):
         # P_500 has a relative gap of about 3e-5: the one recurrence runs
         # past KRYLOV_DIM, where the rule is checked every 64 steps
         n = 500
@@ -378,7 +378,7 @@ class TestLambda1Only:
 
     @pytest.mark.parametrize(
         "g", [ba_graph(300, 3, seed=11), path_graph(30), path_graph(500)],
-        ids=["ba", "path30", "path500-restarts"],  # P_500 runs past KRYLOV_DIM
+        ids=["ba", "path30", "path500-past-krylov-dim"],
     )
     def test_same_lambda1_for_the_pass_1_steps(self, g, monkeypatch):
         rules = [(1e-10, 10_000), (1e-6, 10_000)]
