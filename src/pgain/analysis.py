@@ -122,7 +122,7 @@ def delta_sweep(
     # PageRank first, so its temporaries are gone before the pass's vectors
     pr = baselines.pagerank(g, alpha=alpha, tolerance=tolerance)
     [spectrum], krylov = spectral._lanczos(
-        g, [(spectral.DEFAULT_TOL, spectral.DEFAULT_MAX_ITER)], True, decays,
+        g, [(spectral.DEFAULT_TOL, spectral.DEFAULT_MAX_ITER, True)], decays,
         tolerance, exp=True)
     lam = spectrum.lambda1
     # A u goes to a buffer the pass freed, and the other two go; once

@@ -12,15 +12,15 @@ Exit codes: 0 all requested computations converged, 1 I/O error,
 2 bad parameters or input, 3 a computation failed to converge (stopped at
 an iteration cap, or a series overflowed float64).
 
-``compute`` runs PageRank, then one gain solve (``gain._solve``), and
-that only when a metric other than ``deg`` and ``pr`` is wanted, then
-degree. The solve's one Lanczos pass from the uniform vector gives lambda1
-and the ``ec`` column (only when ``ec``, ``katz`` or ``gpg`` is wanted;
-otherwise the summary prints ``lambda1=nan``), the Katz vector behind
-``katz`` and ``gpg``, and the Krylov exponential behind ``epg``; without
-``ec`` it skips the eigenvector's replay. With ``--max-k`` the gains are
-the paper's truncated walk series instead, and Katz is 1 + delta * GPG
-from the one GPG series.
+``compute`` runs PageRank, then one gain solve (``gain._solve``), which
+it asks for the wanted columns by name, then degree. The solve picks its
+own Lanczos rules: its one pass from the uniform vector gives lambda1
+(only when ``ec``, ``katz`` or ``gpg`` is wanted; otherwise the summary
+prints ``lambda1=nan``), the ``ec`` column, the Katz vector behind
+``katz`` and ``gpg`` and the Krylov exponential behind ``epg``, and it
+replays only the vectors that a wanted column reads. With ``--max-k``
+the gains are the paper's truncated walk series instead, and Katz is
+1 + delta * GPG from the one GPG series.
 """
 
 from __future__ import annotations
@@ -157,7 +157,6 @@ def _cmd_compute(args) -> int:
     # every parameter is checked, whether or not a wanted metric reads it
     params = _gain_params(args)
     check_unit_interval(args.alpha, "alpha")
-    max_iter = args.max_k if args.max_k is not None else DEFAULT_MAX_ITER
     graph = _read_graph(args.input)
     wanted = METRICS if args.metric == "all" else (args.metric,)
     out_dir = Path(args.out)
@@ -167,24 +166,14 @@ def _cmd_compute(args) -> int:
         # before the pass: PageRank's temporaries and the pass's vectors
         # together would set the run's peak memory
         made["pr"] = _timed(baselines.pagerank, graph, alpha=args.alpha,
-                            tolerance=args.tol, max_iter=max_iter)
-    # One solve gives lambda1, the EC column and the gains, each only when a
+                            tolerance=args.tol,
+                            max_iter=args.max_k or DEFAULT_MAX_ITER)
+    # One solve gives lambda1 and the EC and gain columns, each only when a
     # wanted metric needs it
     uses_lambda1 = bool({"katz", "gpg"} & set(wanted))
-    gains = [metric for metric in wanted if metric in ("katz", "gpg", "epg")]
-    rules = []
-    if uses_lambda1 or "ec" in wanted:
-        rules = [(DEFAULT_TOL, DEFAULT_MAX_ITER)]
-        if "ec" in wanted:
-            rules.append((args.tol, max_iter))
-    estimates = []
-    if rules or gains:
-        (estimates, solved), wall = _timed(_solve, graph, params, gains,
-                                           rules=rules,
-                                           eigenvectors="ec" in wanted)
-        if "ec" in wanted:
-            solved["ec"] = estimates[1].centrality(args.tol)
-        made.update((metric, (v, wall)) for metric, v in solved.items())
+    (estimates, solved), wall = _timed(_solve, graph, params, wanted,
+                                       max_iter=args.max_k)
+    made.update((metric, (v, wall)) for metric, v in solved.items())
     if "deg" in wanted:
         made["deg"] = _timed(baselines.degree_centrality, graph)
     lam = estimates[0].lambda1 if estimates else math.nan

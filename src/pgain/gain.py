@@ -13,9 +13,9 @@ shifted solve, then GPG = A x, which also gives x's true residual and
 certifies it (``_gpg_from_katz``), and Katz = 1 + delta GPG; exp(A - theta I)
 1 from its Krylov exponential, then EPG = e^theta A exp(A - theta I) 1 and
 communicability e^theta exp(A - theta I) 1. A score that float64 cannot
-hold raises ``SeriesOverflowError``. It serves the CLI's ``compute`` and
-the library functions alike (``baselines.katz_centrality`` and
-``communicability_vector`` too).
+hold raises ``SeriesOverflowError``. It picks the pass's lambda1 rules,
+builds the EC column too, and serves the CLI's ``compute`` and the library
+alike (``baselines.katz_centrality`` and ``communicability_vector`` too).
 
 ``_run_series`` evaluates the paper's truncated walk series, one sparse
 matrix-vector product per term, for the calls that ask for a walk-length
@@ -214,31 +214,31 @@ def _snapshot(params, delta=None, lambda1=None) -> dict:
     return snapshot
 
 
-def _solve(g, params, metrics, lambda1=None, rules=(), eigenvectors=False,
-           max_iter=None):
-    """``(estimates, {metric: CentralityVector})``: the estimates of the
-    lambda1 ``rules`` (with Ritz vectors when ``eigenvectors``) and the
-    vectors named in ``metrics`` (``"gpg"``, ``"katz"``, ``"epg"``,
-    ``"communicability"``), from one ``spectral._lanczos`` pass.
+def _solve(g, params, metrics, lambda1=None, max_iter=None):
+    """``(estimates, {metric: CentralityVector})``: the vectors named in
+    ``metrics`` (``"ec"``, ``"gpg"``, ``"katz"``, ``"epg"``,
+    ``"communicability"``; other names are ignored) from one
+    ``spectral._lanczos`` pass, and the estimates of its lambda1 rules.
 
-    The pass solves for Katz x at ``params``' decay and u = exp(A - shift I)
-    1, each to ``params.tolerance`` or until another step would take its
-    pass and replay past ``max_iter`` SpMVs (m steps cost 2m - 1); a solve
-    stopped there reports ``"max_k"``, or ``"safety_cap"`` at the default
-    cap (``max_iter=None``). GPG = A x (one SpMV, which certifies x) and
-    Katz = 1 + delta GPG in x's buffer, one fixed-point step from x, so
-    within delta lambda1 times x's error, converge when the certificate
-    holds. EPG = e^shift A u and communicability e^shift u (in u's buffer)
-    converge when Saad's estimate met the tolerance. Each counts the SpMVs
-    of pass, replay and product. With ``params.max_walk_length`` the pass
-    runs the lambda1 rules alone, GPG and EPG are walk series (``_gain``)
-    and Katz is 1 + delta GPG, converged only when the series' tolerance
-    rule stopped it.
-
-    Katz and GPG need lambda1: the caller's (checked, taken as exact) or the
-    estimate of ``rules[0]``, by default the lambda1 rule of
-    ``spectral.lanczos``, which must converge for them to. A vector that
-    float64 cannot hold raises ``SeriesOverflowError``.
+    The pass's first rule is lambda1's: ``spectral.DEFAULT_TOL`` within
+    ``spectral.DEFAULT_MAX_ITER`` SpMVs, no Ritz vector. It runs for
+    ``"ec"``, and for Katz and GPG, which converge only if it does, unless
+    the caller gives ``lambda1`` (checked, taken as exact). ``"ec"`` adds
+    the rule ``params.tolerance`` within ``max_iter`` SpMVs, whose Ritz
+    vector is the EC column. The pass solves for Katz x at ``params``'
+    decay and u = exp(A - shift I) 1, each to ``params.tolerance`` or
+    until another step would take its pass and replay past ``max_iter``
+    SpMVs (m steps cost 2m - 1); a solve stopped there reports
+    ``"max_k"``, or ``"safety_cap"`` at the default cap (``max_iter=None``).
+    GPG = A x (one SpMV, which certifies x) and Katz = 1 + delta GPG in x's
+    buffer, one fixed-point step from x, so within delta lambda1 times x's
+    error, converge when the certificate holds. EPG = e^shift A u and
+    communicability e^shift u (in u's buffer) converge when Saad's estimate
+    met the tolerance. Each counts the SpMVs of pass, replay and product.
+    With ``params.max_walk_length`` the pass runs the lambda1 rules alone,
+    GPG and EPG are walk series (``_gain``) and Katz is 1 + delta GPG,
+    converged only when the series' tolerance rule stopped it. A vector
+    that float64 cannot hold raises ``SeriesOverflowError``.
     """
     series = params.max_walk_length is not None
     wanted = set(metrics)
@@ -246,8 +246,12 @@ def _solve(g, params, metrics, lambda1=None, rules=(), eigenvectors=False,
     exponential = not series and bool({"epg", "communicability"} & wanted)
     if geometric and lambda1 is not None:
         lambda1 = _lambda1(g, lambda1)[0]
-    elif geometric and not rules:
-        rules = [(spectral.DEFAULT_TOL, spectral.DEFAULT_MAX_ITER)]
+    rules = []
+    if "ec" in wanted or geometric and lambda1 is None:
+        rules.append((spectral.DEFAULT_TOL, spectral.DEFAULT_MAX_ITER, False))
+    if "ec" in wanted:
+        rules.append((params.tolerance,
+                      max_iter or spectral.DEFAULT_MAX_ITER, True))
     decays = ((lambda lam: [params.resolve_delta(lam)])
               if geometric and not series else None)
     capped = "safety_cap" if max_iter is None else "max_k"
@@ -255,11 +259,15 @@ def _solve(g, params, metrics, lambda1=None, rules=(), eigenvectors=False,
     estimates, krylov = [], None
     if rules or decays or exponential:
         estimates, krylov = spectral._lanczos(
-            g, rules, eigenvectors, decays, params.tolerance, exponential,
-            lambda1, max_steps)
-        lambda1 = krylov.lambda1
-    lambda1_converged = not estimates or estimates[0].converged
+            g, rules, decays, params.tolerance, exponential, lambda1,
+            max_steps)
+    lambda1_converged = True
+    if lambda1 is None and estimates:
+        lambda1_converged = estimates[0].converged
+        lambda1 = estimates[0].lambda1
     vectors = {}
+    if "ec" in wanted:
+        vectors["ec"] = estimates[-1].centrality(params.tolerance)
 
     if geometric and series:
         gpg = _gain(g, "geometric", params, lambda1, lambda1_converged)
@@ -268,7 +276,7 @@ def _solve(g, params, metrics, lambda1=None, rules=(), eigenvectors=False,
         [x], [delta], [steps] = krylov.katz, krylov.deltas, krylov.katz_steps
         [(scores, certified)] = _gpg_from_katz(g, [x], [delta], lambda1,
                                                params.tolerance, krylov.free)
-        reason = (capped if steps == krylov.max_steps and not certified
+        reason = (capped if steps == max_steps and not certified
                   else "tolerance")
         gpg = CentralityVector(scores, "gpg",
                                _snapshot(params, delta, lambda1), 2 * steps,

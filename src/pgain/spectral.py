@@ -8,10 +8,11 @@ Pass 1 builds the tridiagonal T_m and stops once the top Ritz pair
 Ritz residual beta_m |s_m| of at most ``10 * tol * theta``; the rule is
 checked at every step up to ``KRYLOV_DIM``, then every ``KRYLOV_DIM``
 steps and at the cap. Pass 2 replays the same recurrence, bit for bit,
-and sums s_j q_j into the Ritz vector, the eigenvector (EC) column;
-callers that need only lambda1 skip it. The top Ritz value is the
-largest one, not the largest in modulus, so bipartite graphs give
-+lambda1. One run serves several stop rules (lambda1 and the EC column).
+and sums s_j q_j into the Ritz vector, the eigenvector (EC) column. The
+top Ritz value is the largest one, not the largest in modulus, so
+bipartite graphs give +lambda1. One run serves several stop rules
+(lambda1 and the EC column), and replays the Ritz vector of only those
+that ask for one, so a lambda1-only rule costs pass 1 alone.
 
 Every other vector the package converges is a function of A applied to
 the ones vector, so it lies in the same Krylov space of the uniform start,
@@ -67,13 +68,12 @@ class SpectralEstimate:
 
 @dataclass(frozen=True)
 class _Pass:
-    """What one ``_lanczos`` run gives besides the lambda1 estimates."""
+    """What one ``_lanczos`` run gives besides the lambda1 estimates; the
+    lambda1 behind its decays and the cap on its steps are the caller's."""
 
-    lambda1: float | None  # that of the first rule, or the caller's
-    deltas: list  # the decays, at that lambda1
+    deltas: list  # the decays, at the run's lambda1
     katz: list  # (I - delta_j A)^(-1) 1 per decay
     katz_steps: list  # pass-1 steps per decay
-    max_steps: int  # the cap on those steps
     exp: np.ndarray | None  # exp(A - shift I) 1
     shift: float
     exp_steps: int
@@ -101,25 +101,28 @@ def lanczos(
     uniform start onto the top eigenspace, supported on the components with
     the largest spectral radius.
     """
-    return _lanczos(g, rules, eigenvectors)[0]
+    return _lanczos(g, [(tol, cap, eigenvectors) for tol, cap in rules])[0]
 
 
-def _lanczos(g, rules, eigenvectors, decays=None, tol=None, exp=False,
-             lambda1=None, max_steps=DEFAULT_MAX_ITER):
-    """``lanczos``, plus the solves from the uniform vector, each to ``tol``
-    within ``max_steps`` pass-1 steps: the Katz vectors at
-    ``decays(lambda1)`` and, with ``exp``, exp(A - shift I) 1. lambda1 is
-    the estimate of the first rule, or the caller's ``lambda1``, taken as
-    exact, when there are no rules. Returns the estimates and a ``_Pass``.
+def _lanczos(g, rules, decays=None, tol=None, exp=False, lambda1=None,
+             max_steps=DEFAULT_MAX_ITER):
+    """``lanczos`` with a ``(tol, max_iter, vector)`` triple per rule: only
+    a rule with ``vector`` has its Ritz vector replayed, so only its cap
+    and cost count the replay. Plus the solves from the uniform vector,
+    each to ``tol`` within ``max_steps`` pass-1 steps: the Katz vectors at
+    ``decays(lambda1)`` and, with ``exp``, exp(A - shift I) 1, where
+    lambda1 is the caller's, taken as exact, or else the estimate of the
+    first rule. Returns the estimates and a ``_Pass``.
 
-    The pass runs until the lambda1 rules and the exp rule have stopped,
-    then as long as the Katz solve reads steps: max(m, m_j, m_e) steps, m
-    those of lambda1, m_j those of decay j and m_e those of exp. One replay
-    of max(m, m_j, m_e) - 1 SpMVs builds every vector. The replay holds
-    three n-vectors besides the wanted ones; they are returned in ``free``.
-    An empty graph raises ``ParameterError``.
+    The pass runs until the rules and the exp rule have stopped, then as
+    long as the Katz solve reads steps: max(m, m_j, m_e) steps, m those of
+    the longest rule, m_j those of decay j and m_e those of exp. One replay
+    of max(m_v, m_j, m_e) - 1 SpMVs builds every vector, m_v the steps of
+    the longest rule with a vector. The replay holds three n-vectors
+    besides the wanted ones; they are returned in ``free``. An empty graph
+    raises ``ParameterError``.
     """
-    for rule_tol, max_iter in rules:
+    for rule_tol, max_iter, _ in rules:
         check_tolerance(rule_tol)
         check_cap(max_iter, "max_iter")
     n = check_graph(g)
@@ -129,8 +132,8 @@ def _lanczos(g, rules, eigenvectors, decays=None, tol=None, exp=False,
     alphas, betas = [], []  # T_m, and beta_m
     # the last step a rule can afford: m steps cost 2m - 1 SpMVs with the
     # replay, m without
-    caps = [(max_iter + 1) // 2 if eigenvectors else max_iter
-            for _, max_iter in rules]
+    caps = [(max_iter + 1) // 2 if vector else max_iter
+            for _, max_iter, vector in rules]
     exp_stop = None  # (coefficients, shift, steps, met) once exp stops
     stops = {}  # rule -> (Ritz coefficients, theta, cost, converged, residual)
     recurrence = _recurrence(g, uniform, buffers)
@@ -144,17 +147,18 @@ def _lanczos(g, rules, eigenvectors, decays=None, tol=None, exp=False,
         if due:
             theta, s = _top_pair(alphas, betas[:-1])
             residual = beta * abs(float(s[-1]))
-            cost = 2 * m - 1 if eigenvectors else m
         for j in due:
-            met = residual <= 10.0 * rules[j][0] * theta
+            rule_tol, _, vector = rules[j]
+            met = residual <= 10.0 * rule_tol * theta
             if met or m == caps[j]:
-                stops[j] = (s, theta, cost, met, residual)
+                stops[j] = (s, theta, 2 * m - 1 if vector else m, met,
+                            residual)
         if exp and exp_stop is None and (scheduled or m == max_steps):
             exp_stop = _exp_rule(alphas, betas, tol, max_steps)
         if len(stops) == len(rules) and (exp_stop or not exp):
             break
 
-    if rules:  # the decays follow the first rule's lambda1
+    if lambda1 is None and rules:  # else the decays follow the first rule
         lambda1 = stops[0][1]
     deltas = [] if decays is None else decays(lambda1)
     # the kept steps, then the live recurrence while a decay needs more
@@ -163,26 +167,24 @@ def _lanczos(g, rules, eigenvectors, decays=None, tol=None, exp=False,
     katz_steps = [len(y) for y in solved]
     if exp:  # 1 = sqrt(n) q_1
         solved.append(math.sqrt(n) * exp_stop[0])
-    wanted = [stop[0] for stop in stops.values()] if eigenvectors else []
-    sums = _replay(g, uniform, wanted + solved, buffers)
-    ritz, vectors = sums[:len(wanted)], sums[len(wanted):]
-    for v in ritz:  # flipped to a positive total and normalised
+    wanted = [j for j in stops if rules[j][2]]
+    sums = _replay(g, uniform, [stops[j][0] for j in wanted] + solved,
+                   buffers)
+    ritz, vectors = dict(zip(wanted, sums)), sums[len(wanted):]
+    for v in ritz.values():  # flipped to a positive total and normalised
         if v.sum() < 0:
             np.negative(v, out=v)
         np.maximum(v, 0.0, out=v)  # the Perron vector has no negative entry
         v /= math.sqrt(v @ v)
         v.flags.writeable = False
-    estimates = [None] * len(rules)
-    for j, (_, theta, cost, met, residual) in stops.items():
-        v = ritz.pop(0) if eigenvectors else None
-        estimates[j] = SpectralEstimate(theta, v, cost, met, residual)
+    estimates = [SpectralEstimate(theta, ritz.get(j), cost, met, residual)
+                 for j, (_, theta, cost, met, residual)
+                 in sorted(stops.items())]
     shift, exp_steps, exp_met = exp_stop[1:] if exp else (math.nan, 0, True)
     return estimates, _Pass(
-        lambda1=lambda1,
         deltas=deltas,
         katz=vectors[:len(deltas)],
         katz_steps=katz_steps,
-        max_steps=max_steps,
         exp=vectors[-1] if exp else None,
         shift=shift,
         exp_steps=exp_steps,

@@ -282,10 +282,10 @@ class TestGridSolve:
         def decays(lam):
             return [star / lam if lam > 0 else star for star in grid]
 
-        rules = [(DEFAULT_TOL, DEFAULT_MAX_ITER)]
-        [shared], krylov = _lanczos(g, rules, True, decays, 1e-12)
+        [shared], krylov = _lanczos(g, [(DEFAULT_TOL, DEFAULT_MAX_ITER, True)],
+                                    decays, 1e-12)
         katz = krylov.katz
-        [alone] = lanczos(g, rules)
+        [alone] = lanczos(g, [(DEFAULT_TOL, DEFAULT_MAX_ITER)])
         assert (shared.lambda1, shared.iterations, shared.converged,
                 shared.residual) == (alone.lambda1, alone.iterations,
                                      alone.converged, alone.residual)

@@ -169,7 +169,7 @@ class TestCompute:
                                          monkeypatch):
         # the path P_3000 has a tiny spectral gap: the lambda1 rule is met at
         # step 1,536, so a cap of 1,000 SpMVs stops it first
-        monkeypatch.setattr(cli, "DEFAULT_MAX_ITER", 1000)
+        monkeypatch.setattr(spectral, "DEFAULT_MAX_ITER", 1000)
         path = tmp_path / "p3000.txt"
         path.write_text("".join(f"{i} {i + 1}\n" for i in range(2999)))
         code = main(["compute", "--metric", "gpg", "--out", str(tmp_path),
@@ -247,13 +247,16 @@ class TestComputeSharedWork:
         assert " lambda1=nan " in capsys.readouterr().err
 
     def test_ec_alone_is_one_pass(self, ba_file, tmp_path, monkeypatch):
+        # pass 1 runs the longer of lambda1's m and EC's m' steps, and only
+        # the EC Ritz vector is replayed (m' - 1)
         g = parse_edge_list(ba_file)
-        lam_rule = lanczos(g)[0]
+        lam_steps = lanczos(g, eigenvectors=False)[0].iterations
         ec_rule = lanczos(g, [(1e-6, 10_000)])[0]
+        ec_steps = (ec_rule.iterations + 1) // 2
         calls = count_spmv(monkeypatch)
         assert main(["compute", "--metric", "ec", "--tol", "1e-6",
                      "--out", str(tmp_path), str(ba_file)]) == 0
-        assert len(calls) == max(lam_rule.iterations, ec_rule.iterations)
+        assert len(calls) == max(lam_steps, ec_steps) + ec_steps - 1
         scores = read_scores(tmp_path / "ec.csv")
         assert np.array_equal([scores[label] for label in g.labels],
                               ec_rule.eigenvector)
@@ -270,31 +273,42 @@ class TestComputeSharedWork:
     @pytest.mark.parametrize("max_k", [None, 20], ids=["pass", "max-k"])
     @pytest.mark.parametrize("metric", ["katz", "gpg", "epg", "ec"])
     def test_column_agrees_wherever_written(self, ba_file, tmp_path, metric,
-                                            max_k):
+                                            max_k, monkeypatch):
         # the file of --metric M is that of --metric all, byte for byte, and
-        # holds the library's vector for the same parameters
+        # holds the library's vector for the same parameters; also on P_3000
+        # with the lambda1 cap cut to 2,000 SpMVs, where the lambda1 rule is
+        # met at step 1,536 whether or not the EC column is wanted
+        slow = tmp_path / "p3000.txt"
+        slow.write_text("".join(f"{i} {i + 1}\n" for i in range(2999)))
         option = [] if max_k is None else ["--max-k", str(max_k)]
-        for name in (metric, "all"):
-            main(["compute", "--metric", name, *option,
-                  "--out", str(tmp_path / name), str(ba_file)])
-        alone = tmp_path / metric / f"{metric}.csv"
-        assert alone.read_bytes() == (tmp_path / "all" / alone.name).read_bytes()
-        g = parse_edge_list(ba_file)
-        params = GainParams(max_walk_length=max_k)
-        if metric == "ec":
-            expected = eigenvector_centrality(g, 1e-12, max_k or 10_000).scores
-        elif metric == "epg":
-            expected = exponential_potential_gain(g, params).scores
-        else:
-            gpg = geometric_potential_gain(g, params)
-            delta, lam = gpg.params["delta"], gpg.params["lambda1"]
-            expected = gpg.scores
-            if metric == "katz" and max_k is None:
-                expected = katz_centrality(g, delta, lambda1=lam).scores
-            elif metric == "katz":  # the series gives Katz as 1 + delta GPG
-                expected = 1.0 + delta * gpg.scores
-        scores = read_scores(alone)
-        assert np.array_equal([scores[label] for label in g.labels], expected)
+        for source in (ba_file, slow):
+            if source == slow:
+                for module in (spectral, cli):
+                    monkeypatch.setattr(module, "DEFAULT_MAX_ITER", 2000)
+            out = tmp_path / source.stem
+            for name in (metric, "all"):
+                main(["compute", "--metric", name, *option,
+                      "--out", str(out / name), str(source)])
+            alone = out / metric / f"{metric}.csv"
+            assert alone.read_bytes() == (out / "all" / alone.name).read_bytes()
+            g = parse_edge_list(source)
+            params = GainParams(max_walk_length=max_k)
+            if metric == "ec":
+                expected = eigenvector_centrality(
+                    g, 1e-12, max_k or spectral.DEFAULT_MAX_ITER).scores
+            elif metric == "epg":
+                expected = exponential_potential_gain(g, params).scores
+            else:
+                gpg = geometric_potential_gain(g, params)
+                delta, lam = gpg.params["delta"], gpg.params["lambda1"]
+                expected = gpg.scores
+                if metric == "katz" and max_k is None:
+                    expected = katz_centrality(g, delta, lambda1=lam).scores
+                elif metric == "katz":  # the series: Katz is 1 + delta GPG
+                    expected = 1.0 + delta * gpg.scores
+            scores = read_scores(alone)
+            assert np.array_equal([scores[label] for label in g.labels],
+                                  expected)
 
     @pytest.mark.parametrize("metric", ["gpg", "katz"])
     def test_max_k_with_unconverged_lambda1(self, tmp_path, monkeypatch,
@@ -302,7 +316,7 @@ class TestComputeSharedWork:
         # on P_3000 the lambda1 rule is met at step 1,536: cut to 1,000
         # SpMVs, the estimate does not converge, and neither does a series
         # that rests on it, as in the library
-        monkeypatch.setattr(cli, "DEFAULT_MAX_ITER", 1000)
+        monkeypatch.setattr(spectral, "DEFAULT_MAX_ITER", 1000)
         path = tmp_path / "p3000.txt"
         path.write_text("".join(f"{i} {i + 1}\n" for i in range(2999)))
         assert main(["compute", "--metric", metric, "--max-k", "50",
@@ -310,7 +324,6 @@ class TestComputeSharedWork:
                      str(path)]) == 3
         payload = json.loads((tmp_path / f"{metric}.json").read_text())
         assert payload["converged"] is False
-        monkeypatch.setattr(spectral, "DEFAULT_MAX_ITER", 1000)
         assert not geometric_potential_gain(
             parse_edge_list(path), GainParams(max_walk_length=50)).converged
 

@@ -258,7 +258,8 @@ class TestAdversarial:
         (126, 125), (127, 127), (128, 127), (129, 129), (254, 253),
         (255, 255), (256, 255),
     ])
-    def test_cap_is_strict_across_restarts(self, cap, spent, monkeypatch):
+    def test_cap_is_strict_on_and_off_the_check_schedule(self, cap, spent,
+                                                         monkeypatch):
         # step m costs 2m - 1 SpMVs with its replay; past KRYLOV_DIM = 64
         # steps the rule is checked every 64 steps, and at the cap step
         g = path_graph(500)
@@ -397,7 +398,8 @@ class TestLambda1Only:
         (63, 63), (64, 64), (127, 127), (128, 128), (129, 129), (191, 191),
         (254, 254), (255, 255),
     ])
-    def test_cap_is_strict_across_restarts(self, cap, spent, monkeypatch):
+    def test_cap_is_strict_on_and_off_the_check_schedule(self, cap, spent,
+                                                         monkeypatch):
         # step m costs one SpMV, whether the cap falls on the KRYLOV_DIM
         # schedule or between its checks; P_3000 meets the rule at 1,536
         g = path_graph(3000)
