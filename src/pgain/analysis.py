@@ -82,10 +82,10 @@ def _rho_from_ranks(rx: np.ndarray, ry: np.ndarray) -> float:
 @dataclass(frozen=True)
 class SweepResult:
     """Correlations of the geometric gain against the other metrics, per
-    normalized decay value. ``converged`` is False when the lambda1 solve or
-    PageRank stopped at its cap, when the exponential's error estimate did
-    not meet ``tolerance``, or when the Katz solve at some grid value has
-    no certified error ||r|| / (1 - delta_star) within
+    normalized decay value. ``converged`` is False when the lambda1 rule,
+    the EC rule or PageRank stopped at its cap, when the exponential's
+    error estimate did not meet ``tolerance``, or when the Katz solve at
+    some grid value has no certified error ||r|| / (1 - delta_star) within
     ``tolerance * ||Katz||`` (r = 1 - (I - delta A) Katz, its true
     residual). The CLI writes it as CSV or JSON."""
 
@@ -105,9 +105,10 @@ def delta_sweep(
 ) -> SweepResult:
     """Correlate GPG (and Katz) against the fixed baselines across the grid.
 
-    One Lanczos pass gives lambda1, the EC column, the Katz vector at
-    every delta = delta_star / lambda1 and u = exp(A - theta I) 1, in
-    twice the steps of the longest of them, less one.
+    One Lanczos pass gives lambda1, by the rule of ``gain._solve``'s pass
+    (no vector, the full cap), the EC column, the Katz vector at every
+    delta = delta_star / lambda1 and u = exp(A - theta I) 1, in the steps
+    of the longest of them plus a replay of the longest vector's, less one.
     GPG = A Katz (``gain._gpg_from_katz``). EPG = e^theta A u has the ranks
     of A u, which float64 holds whatever lambda1 is. Katz = 1 + delta * GPG
     (the identity Katz = 1 + delta A Katz) is strictly increasing in GPG, so
@@ -121,10 +122,12 @@ def delta_sweep(
 
     # PageRank first, so its temporaries are gone before the pass's vectors
     pr = baselines.pagerank(g, alpha=alpha, tolerance=tolerance)
-    [spectrum], krylov = spectral._lanczos(
-        g, [(spectral.DEFAULT_TOL, spectral.DEFAULT_MAX_ITER, True)], decays,
-        tolerance, exp=True)
-    lam = spectrum.lambda1
+    # the lambda1 rule of gain._solve's pass, then the EC column's
+    rules = [(spectral.DEFAULT_TOL, spectral.DEFAULT_MAX_ITER, vector)
+             for vector in (False, True)]
+    [estimate, spectrum], krylov = spectral._lanczos(g, rules, decays,
+                                                     tolerance, exp=True)
+    lam = estimate.lambda1
     # A u goes to a buffer the pass freed, and the other two go; once
     # ranked, A u and u are the GPG products' two free vectors
     epg = g.spmv(krylov.exp, out=krylov.free.pop())
@@ -135,7 +138,8 @@ def delta_sweep(
         "pr": average_ranks(pr.scores),
         "epg": average_ranks(epg),
     }
-    converged = spectrum.converged and pr.converged and krylov.exp_met
+    converged = (estimate.converged and spectrum.converged and pr.converged
+                 and krylov.exp_met)
     rho = {c: np.full(grid.size, np.nan) for c in SWEEP_COLUMNS}
     gpgs = _gpg_from_katz(g, krylov.katz, krylov.deltas, lam, tolerance,
                           [epg, krylov.exp])

@@ -34,23 +34,22 @@ def katz_centrality(
     delta: float,
     tolerance: float = DEFAULT_TOLERANCE,
     max_iter: int = DEFAULT_MAX_ITER,
-    lambda1: float | None = None,
 ) -> CentralityVector:
     """(I - delta A)^(-1) 1 as 1 + delta * GPG, scores >= 1 everywhere.
 
-    Requires delta in (0, 1/lambda1); lambda1 is checked, or estimated in
-    the same Lanczos pass when not given (0 without edges), as for the
-    gains; an empty graph raises. The Katz solve stops once its residual
-    estimate meets ``tolerance``, or where another step would take its pass
-    and replay past ``max_iter`` SpMVs (m steps cost 2m - 1).
+    Requires delta in (0, 1/lambda1), lambda1 estimated in the same Lanczos
+    pass (0 without edges), as for the gains; an empty graph raises. The
+    Katz solve stops once its residual estimate meets ``tolerance``, or
+    where another step would take its pass and replay past ``max_iter``
+    SpMVs (m steps cost 2m - 1).
     ``iterations_used`` counts those SpMVs and the product GPG = A x, and
     ``converged`` means the certificate ||x - Katz|| <= ||r|| / (1 - delta
     lambda1) <= ``tolerance`` ||x|| holds for the solve's x and its true
-    residual r, and the lambda1 estimate, if made here, converged.
+    residual r, and the lambda1 estimate converged.
     """
     check_cap(max_iter, "max_iter")
     params = GainParams(delta=delta, tolerance=tolerance)
-    return _solve(g, params, ["katz"], lambda1, max_iter=max_iter)[1]["katz"]
+    return _solve(g, params, ["katz"], max_iter=max_iter)[1]["katz"]
 
 
 def pagerank(

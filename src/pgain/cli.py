@@ -302,7 +302,7 @@ def _cmd_spectral(args) -> int:
     check_cap(args.max_iter, "--max-iter")  # checked before the input is read
     check_tolerance(args.tol)
     graph = _read_graph(args.input)
-    [estimate] = lanczos(graph, [(args.tol, args.max_iter)], eigenvectors=False)
+    estimate = lanczos(graph, args.tol, args.max_iter, eigenvectors=False)
     print(
         f"lambda1={estimate.lambda1:.17g} residual={estimate.residual:.6g}"
         f" iterations={estimate.iterations} converged={estimate.converged}"

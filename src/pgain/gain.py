@@ -13,9 +13,10 @@ shifted solve, then GPG = A x, which also gives x's true residual and
 certifies it (``_gpg_from_katz``), and Katz = 1 + delta GPG; exp(A - theta I)
 1 from its Krylov exponential, then EPG = e^theta A exp(A - theta I) 1 and
 communicability e^theta exp(A - theta I) 1. A score that float64 cannot
-hold raises ``SeriesOverflowError``. It picks the pass's lambda1 rules,
-builds the EC column too, and serves the CLI's ``compute`` and the library
-alike (``baselines.katz_centrality`` and ``communicability_vector`` too).
+hold raises ``SeriesOverflowError``. It picks the pass's rules, whose
+first gives the run's one lambda1 (no caller passes one in), builds the EC
+column too, and serves the CLI's ``compute`` and the library alike
+(``baselines.katz_centrality`` and ``communicability_vector`` too).
 
 ``_run_series`` evaluates the paper's truncated walk series, one sparse
 matrix-vector product per term, for the calls that ask for a walk-length
@@ -98,19 +99,19 @@ class GainParams:
 
 
 def geometric_potential_gain(
-    g: Graph, params: GainParams | None = None, lambda1: float | None = None
+    g: Graph, params: GainParams | None = None
 ) -> CentralityVector:
     """Geometric potential gain of every node, A (I - delta A)^(-1) 1.
 
-    ``lambda1`` is estimated in the same Lanczos pass when not supplied (it
-    is needed to resolve delta_star and to validate delta); the result is
-    then converged only if that estimate is. Without ``max_walk_length``
-    the Katz solve stops on ``tolerance`` and ``converged`` means its
-    certificate holds: ||x - Katz|| <= ||r|| / (1 - delta lambda1) <=
-    ``tolerance`` ||x||, r the true residual of the Katz vector x. With
-    ``max_walk_length`` the truncated walk series is summed instead.
+    lambda1, which resolves delta_star and validates delta, is estimated in
+    the same Lanczos pass, and the result is converged only if that
+    estimate is. Without ``max_walk_length`` the Katz solve stops on
+    ``tolerance`` and ``converged`` means its certificate holds: ||x -
+    Katz|| <= ||r|| / (1 - delta lambda1) <= ``tolerance`` ||x||, r the
+    true residual of the Katz vector x. With ``max_walk_length`` the
+    truncated walk series is summed instead.
     """
-    return _solve(g, params or GainParams(), ["gpg"], lambda1)[1]["gpg"]
+    return _solve(g, params or GainParams(), ["gpg"])[1]["gpg"]
 
 
 def exponential_potential_gain(
@@ -146,19 +147,21 @@ def gain_with_trace(
     g: Graph,
     params: GainParams | None = None,
     kind: str = "geometric",
-    lambda1: float | None = None,
 ) -> tuple[CentralityVector, ConvergenceTrace]:
     """Gain plus the per-k relative error against a converged reference,
     the same series run to a relative term contribution of 1e-15.
 
-    A geometric gain whose lambda1 was estimated here is converged only if
-    that estimate is.
+    A geometric gain resolves its decay against the lambda1 of
+    ``spectral.lanczos`` without a vector, the rule of ``_solve``'s pass,
+    and is converged only if that estimate is.
     """
     if kind not in ("geometric", "exponential"):
         raise ParameterError(f"unknown gain kind {kind!r}")
     params = params or GainParams()
-    lam, lam_converged = (_lambda1(g, lambda1) if kind == "geometric"
-                          else (None, True))
+    lam, lam_converged = None, True
+    if kind == "geometric":
+        estimate = spectral.lanczos(g, eigenvectors=False)
+        lam, lam_converged = estimate.lambda1, estimate.converged
     long_params = replace(params, max_walk_length=None, tolerance=1e-15)
     reference = _gain(g, kind, long_params, lam).scores
     ref_norm = _norm(reference)
@@ -214,7 +217,7 @@ def _snapshot(params, delta=None, lambda1=None) -> dict:
     return snapshot
 
 
-def _solve(g, params, metrics, lambda1=None, max_iter=None):
+def _solve(g, params, metrics, max_iter=None):
     """``(estimates, {metric: CentralityVector})``: the vectors named in
     ``metrics`` (``"ec"``, ``"gpg"``, ``"katz"``, ``"epg"``,
     ``"communicability"``; other names are ignored) from one
@@ -222,19 +225,20 @@ def _solve(g, params, metrics, lambda1=None, max_iter=None):
 
     The pass's first rule is lambda1's: ``spectral.DEFAULT_TOL`` within
     ``spectral.DEFAULT_MAX_ITER`` SpMVs, no Ritz vector. It runs for
-    ``"ec"``, and for Katz and GPG, which converge only if it does, unless
-    the caller gives ``lambda1`` (checked, taken as exact). ``"ec"`` adds
-    the rule ``params.tolerance`` within ``max_iter`` SpMVs, whose Ritz
-    vector is the EC column. The pass solves for Katz x at ``params``'
-    decay and u = exp(A - shift I) 1, each to ``params.tolerance`` or
-    until another step would take its pass and replay past ``max_iter``
-    SpMVs (m steps cost 2m - 1); a solve stopped there reports
-    ``"max_k"``, or ``"safety_cap"`` at the default cap (``max_iter=None``).
-    GPG = A x (one SpMV, which certifies x) and Katz = 1 + delta GPG in x's
-    buffer, one fixed-point step from x, so within delta lambda1 times x's
-    error, converge when the certificate holds. EPG = e^shift A u and
-    communicability e^shift u (in u's buffer) converge when Saad's estimate
-    met the tolerance. Each counts the SpMVs of pass, replay and product.
+    ``"ec"``, and for Katz and GPG, which converge only if it does; its
+    estimate is the run's one lambda1, which every column's params report.
+    ``"ec"`` adds the rule ``params.tolerance`` within ``max_iter`` SpMVs,
+    whose Ritz vector is the EC column. The pass solves for Katz x at
+    ``params``' decay and u = exp(A - shift I) 1, each to
+    ``params.tolerance`` or until another step would take its pass and
+    replay past ``max_iter`` SpMVs (m steps cost 2m - 1); a solve stopped
+    there reports ``"max_k"``, or ``"safety_cap"`` at the default cap
+    (``max_iter=None``). GPG = A x (one SpMV, which certifies x) and
+    Katz = 1 + delta GPG in x's buffer, one fixed-point step from x, so
+    within delta lambda1 times x's error, converge when the certificate
+    holds. EPG = e^shift A u and communicability e^shift u (in u's
+    buffer) converge when Saad's estimate met the tolerance. Each counts
+    the SpMVs of pass, replay and product.
     With ``params.max_walk_length`` the pass runs the lambda1 rules alone,
     GPG and EPG are walk series (``_gain``) and Katz is 1 + delta GPG,
     converged only when the series' tolerance rule stopped it. A vector
@@ -244,10 +248,8 @@ def _solve(g, params, metrics, lambda1=None, max_iter=None):
     wanted = set(metrics)
     geometric = bool({"gpg", "katz"} & wanted)
     exponential = not series and bool({"epg", "communicability"} & wanted)
-    if geometric and lambda1 is not None:
-        lambda1 = _lambda1(g, lambda1)[0]
     rules = []
-    if "ec" in wanted or geometric and lambda1 is None:
+    if "ec" in wanted or geometric:
         rules.append((spectral.DEFAULT_TOL, spectral.DEFAULT_MAX_ITER, False))
     if "ec" in wanted:
         rules.append((params.tolerance,
@@ -257,17 +259,17 @@ def _solve(g, params, metrics, lambda1=None, max_iter=None):
     capped = "safety_cap" if max_iter is None else "max_k"
     max_steps = ((max_iter or spectral.DEFAULT_MAX_ITER) + 1) // 2
     estimates, krylov = [], None
-    if rules or decays or exponential:
+    if rules or exponential:  # the decays come with the lambda1 rule
         estimates, krylov = spectral._lanczos(
-            g, rules, decays, params.tolerance, exponential, lambda1,
-            max_steps)
-    lambda1_converged = True
-    if lambda1 is None and estimates:
-        lambda1_converged = estimates[0].converged
-        lambda1 = estimates[0].lambda1
+            g, rules, decays, params.tolerance, exponential, max_steps)
+    lambda1, lambda1_converged = None, True
+    if estimates:
+        lambda1, lambda1_converged = (estimates[0].lambda1,
+                                      estimates[0].converged)
     vectors = {}
-    if "ec" in wanted:
-        vectors["ec"] = estimates[-1].centrality(params.tolerance)
+    if "ec" in wanted:  # its Ritz vector, at the run's lambda1
+        vectors["ec"] = replace(estimates[-1], lambda1=lambda1).centrality(
+            params.tolerance)
 
     if geometric and series:
         gpg = _gain(g, "geometric", params, lambda1, lambda1_converged)
@@ -419,15 +421,3 @@ def _norm(x: np.ndarray) -> float:
             norm = scale * float(np.linalg.norm(x / scale))
     return norm
 
-
-def _lambda1(g: Graph, lambda1: float | None) -> tuple[float, bool]:
-    """``(lambda1, converged)``: the caller's value, taken as exact, or the
-    ``spectral.lanczos`` estimate and whether it met its tolerance."""
-    if lambda1 is not None:
-        if lambda1 < 0 or not math.isfinite(lambda1):
-            raise ParameterError(f"lambda1 must be finite and >= 0, got {lambda1}")
-        return lambda1, True
-    if g.edge_count == 0:
-        return 0.0, True
-    [estimate] = spectral.lanczos(g, eigenvectors=False)
-    return estimate.lambda1, estimate.converged

@@ -10,9 +10,10 @@ checked at every step up to ``KRYLOV_DIM``, then every ``KRYLOV_DIM``
 steps and at the cap. Pass 2 replays the same recurrence, bit for bit,
 and sums s_j q_j into the Ritz vector, the eigenvector (EC) column. The
 top Ritz value is the largest one, not the largest in modulus, so
-bipartite graphs give +lambda1. One run serves several stop rules
-(lambda1 and the EC column), and replays the Ritz vector of only those
-that ask for one, so a lambda1-only rule costs pass 1 alone.
+bipartite graphs give +lambda1. ``lanczos`` stops on one rule;
+``_lanczos`` serves several in one run (lambda1 and the EC column) and
+replays the Ritz vector of only those that ask for one, so a lambda1-only
+rule costs pass 1 alone.
 
 Every other vector the package converges is a function of A applied to
 the ones vector, so it lies in the same Krylov space of the uniform start,
@@ -32,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
 
 import numpy as np
 
@@ -68,8 +68,9 @@ class SpectralEstimate:
 
 @dataclass(frozen=True)
 class _Pass:
-    """What one ``_lanczos`` run gives besides the lambda1 estimates; the
-    lambda1 behind its decays and the cap on its steps are the caller's."""
+    """What one ``_lanczos`` run gives besides the lambda1 estimates; its
+    decays are at the first estimate's lambda1, its cap on steps is the
+    caller's."""
 
     deltas: list  # the decays, at the run's lambda1
     katz: list  # (I - delta_j A)^(-1) 1 per decay
@@ -83,44 +84,45 @@ class _Pass:
 
 def lanczos(
     g: Graph,
-    rules: Sequence[tuple[float, int]] = ((DEFAULT_TOL, DEFAULT_MAX_ITER),),
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
     eigenvectors: bool = True,
-) -> list[SpectralEstimate]:
-    """Estimate lambda1 and its eigenvector, once per ``(tol, max_iter)`` rule.
+) -> SpectralEstimate:
+    """Estimate lambda1 and its eigenvector.
 
-    A rule is met when the Ritz residual is at most ``10 * tol * lambda1``.
-    ``max_iter`` caps the SpMVs spent; a rule whose next step would pass
-    its cap stops with ``converged=False``; m steps cost 2m - 1 SpMVs, the
-    pass and the replay that builds the eigenvector. With
-    ``eigenvectors=False`` the replay is skipped: each estimate's
-    ``eigenvector`` is None, its lambda1 is the same, and it costs m SpMVs.
-    Past ``KRYLOV_DIM`` steps a rule is checked only every ``KRYLOV_DIM``
-    steps and at its cap. Each estimate is exactly what a call with
-    that rule alone returns, and the run costs the SpMVs of its longest
-    rule. On a disconnected graph the eigenvector is the projection of the
-    uniform start onto the top eigenspace, supported on the components with
-    the largest spectral radius.
+    The estimate is met when the Ritz residual is at most ``10 * tol *
+    lambda1``. ``max_iter`` caps the SpMVs spent; a run whose next step
+    would pass its cap stops with ``converged=False``; m steps cost 2m - 1
+    SpMVs, the pass and the replay that builds the eigenvector. With
+    ``eigenvectors=False`` the replay is skipped: ``eigenvector`` is None,
+    lambda1 is the same, and it costs m SpMVs. Past ``KRYLOV_DIM`` steps
+    the rule is checked only every ``KRYLOV_DIM`` steps and at its cap. On
+    a disconnected graph the eigenvector is the projection of the uniform
+    start onto the top eigenspace, supported on the components with the
+    largest spectral radius.
     """
-    return _lanczos(g, [(tol, cap, eigenvectors) for tol, cap in rules])[0]
+    return _lanczos(g, [(tol, max_iter, eigenvectors)])[0][0]
 
 
-def _lanczos(g, rules, decays=None, tol=None, exp=False, lambda1=None,
+def _lanczos(g, rules, decays=None, tol=None, exp=False,
              max_steps=DEFAULT_MAX_ITER):
-    """``lanczos`` with a ``(tol, max_iter, vector)`` triple per rule: only
-    a rule with ``vector`` has its Ritz vector replayed, so only its cap
-    and cost count the replay. Plus the solves from the uniform vector,
-    each to ``tol`` within ``max_steps`` pass-1 steps: the Katz vectors at
-    ``decays(lambda1)`` and, with ``exp``, exp(A - shift I) 1, where
-    lambda1 is the caller's, taken as exact, or else the estimate of the
-    first rule. Returns the estimates and a ``_Pass``.
+    """``lanczos`` for several stop rules in one run, with a ``(tol,
+    max_iter, vector)`` triple per rule: each estimate is exactly what
+    ``lanczos(g, tol, max_iter, vector)`` returns, and only a rule with
+    ``vector`` has its Ritz vector replayed, so only its cap and cost count
+    the replay. Plus the solves from the uniform vector, each to ``tol``
+    within ``max_steps`` pass-1 steps: the Katz vectors at
+    ``decays(lambda1)``, lambda1 the estimate of the first rule, and, with
+    ``exp``, exp(A - shift I) 1. Returns the estimates and a ``_Pass``.
 
     The pass runs until the rules and the exp rule have stopped, then as
     long as the Katz solve reads steps: max(m, m_j, m_e) steps, m those of
     the longest rule, m_j those of decay j and m_e those of exp. One replay
     of max(m_v, m_j, m_e) - 1 SpMVs builds every vector, m_v the steps of
-    the longest rule with a vector. The replay holds three n-vectors
-    besides the wanted ones; they are returned in ``free``. An empty graph
-    raises ``ParameterError``.
+    the longest rule with a vector, so rules alone cost what the longest
+    of them costs alone, unless a rule without a vector outlasts one with.
+    The replay holds three n-vectors besides the wanted ones; they are
+    returned in ``free``. An empty graph raises ``ParameterError``.
     """
     for rule_tol, max_iter, _ in rules:
         check_tolerance(rule_tol)
@@ -158,8 +160,8 @@ def _lanczos(g, rules, decays=None, tol=None, exp=False, lambda1=None,
         if len(stops) == len(rules) and (exp_stop or not exp):
             break
 
-    if lambda1 is None and rules:  # else the decays follow the first rule
-        lambda1 = stops[0][1]
+    # the decays follow the first rule
+    lambda1 = stops[0][1] if stops else None
     deltas = [] if decays is None else decays(lambda1)
     # the kept steps, then the live recurrence while a decay needs more
     solved = (_katz_solve(chain(zip(alphas, betas), recurrence), n, deltas,
@@ -268,8 +270,7 @@ def eigenvector_centrality(
     g: Graph, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
 ) -> CentralityVector:
     """Principal eigenvector of A, unit L2 norm (the EC baseline)."""
-    [estimate] = lanczos(g, [(tol, max_iter)])
-    return estimate.centrality(tol)
+    return lanczos(g, tol, max_iter).centrality(tol)
 
 
 def _katz_solve(steps, n, deltas, lambda1, tol, max_steps=DEFAULT_MAX_ITER):

@@ -12,11 +12,13 @@ from pgain import (
     UndefinedCorrelationError,
     communicability_vector,
     delta_sweep,
+    geometric_potential_gain,
     lanczos,
     pagerank,
     spearman_rho,
 )
 import oracle
+from pgain import spectral
 from pgain.analysis import DEFAULT_GRID, SWEEP_COLUMNS, average_ranks
 from pgain.cli import main
 from pgain.gain import _gpg_from_katz
@@ -164,7 +166,7 @@ class TestDeltaSweep:
         grid = [0.1, 0.5, 0.9]
         for g in (ba_graph(300, 3, seed=3),
                   Graph.from_edges([(i, i + 1) for i in range(199)])):
-            spectrum = lanczos(g)[0]
+            spectrum = lanczos(g)
             lam = spectrum.lambda1
             _, steps = katz_solve(g, [s / lam for s in grid], lam, 1e-12)
             exp_steps = (communicability_vector(g).iterations_used + 1) // 2
@@ -179,6 +181,17 @@ class TestDeltaSweep:
                 result = delta_sweep(g, grid=grid)
             assert result.converged and result.lambda1 == lam
             assert len(calls) == expected
+
+    def test_lambda1_is_the_gains_rule(self, monkeypatch):
+        # on P_3000 the lambda1 rule is met at step 1,536; with the default
+        # cap cut to 2,000 SpMVs the EC rule stops at step 1,000, but the
+        # sweep's lambda1 is still the one of the gains' pass
+        monkeypatch.setattr(spectral, "DEFAULT_MAX_ITER", 2000)
+        g = Graph.from_edges([(i, i + 1) for i in range(2999)])
+        result = delta_sweep(g, grid=[0.5])
+        assert not result.converged
+        assert (result.lambda1
+                == geometric_potential_gain(g).params["lambda1"])
 
     def test_bad_grid_rejected(self, star_plus_tail, monkeypatch):
         calls = count_spmv(monkeypatch)
@@ -262,7 +275,7 @@ class TestGridSolve:
         # I - delta T_m turns non-positive and the grid solve must not return
         # finite scores
         g = ba_graph(300, 3, seed=3)
-        lam = lanczos(g)[0].lambda1
+        lam = lanczos(g).lambda1
         deltas = [4 * star / lam for star in (0.5, 0.9)]
         with pytest.raises(ParameterError, match="not positive definite"):
             katz_solve(g, deltas, lam / 4, 1e-12)
@@ -285,7 +298,7 @@ class TestGridSolve:
         [shared], krylov = _lanczos(g, [(DEFAULT_TOL, DEFAULT_MAX_ITER, True)],
                                     decays, 1e-12)
         katz = krylov.katz
-        [alone] = lanczos(g, [(DEFAULT_TOL, DEFAULT_MAX_ITER)])
+        alone = lanczos(g, DEFAULT_TOL, DEFAULT_MAX_ITER)
         assert (shared.lambda1, shared.iterations, shared.converged,
                 shared.residual) == (alone.lambda1, alone.iterations,
                                      alone.converged, alone.residual)

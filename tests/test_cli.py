@@ -209,12 +209,11 @@ class TestComputeSharedWork:
         # m pass-1 steps and their replay cost 2m - 1 SpMVs; Katz and EPG
         # each count one more, the product by A after the replay
         g = parse_edge_list(ba_file)
-        lam = lanczos(g)[0].lambda1
-        katz = katz_centrality(g, 0.5 / lam, lambda1=lam).iterations_used
+        spectrum = lanczos(g)
+        katz = katz_centrality(g, 0.5 / spectrum.lambda1).iterations_used
         epg = exponential_potential_gain(g).iterations_used
         expected = (
-            max(lanczos(g)[0].iterations,
-                lanczos(g, [(1e-12, 10_000)])[0].iterations,
+            max(spectrum.iterations, lanczos(g, 1e-12, 10_000).iterations,
                 katz - 1, epg - 1)
             + pagerank(g).iterations_used
             + 2
@@ -231,7 +230,7 @@ class TestComputeSharedWork:
         g = parse_edge_list(ba_file)
         steps = geometric_potential_gain(
             g, GainParams(tolerance=1e-14)).iterations_used // 2
-        expected = (max(lanczos(g, eigenvectors=False)[0].iterations, steps)
+        expected = (max(lanczos(g, eigenvectors=False).iterations, steps)
                     + steps)
         calls = count_spmv(monkeypatch)
         assert main(["compute", "--metric", "gpg", "--tol", "1e-14",
@@ -250,8 +249,8 @@ class TestComputeSharedWork:
         # pass 1 runs the longer of lambda1's m and EC's m' steps, and only
         # the EC Ritz vector is replayed (m' - 1)
         g = parse_edge_list(ba_file)
-        lam_steps = lanczos(g, eigenvectors=False)[0].iterations
-        ec_rule = lanczos(g, [(1e-6, 10_000)])[0]
+        lam_steps = lanczos(g, eigenvectors=False).iterations
+        ec_rule = lanczos(g, 1e-6, 10_000)
         ec_steps = (ec_rule.iterations + 1) // 2
         calls = count_spmv(monkeypatch)
         assert main(["compute", "--metric", "ec", "--tol", "1e-6",
@@ -265,8 +264,7 @@ class TestComputeSharedWork:
         assert main(["compute", "--metric", "katz", "--out", str(tmp_path),
                      str(ba_file)]) == 0
         g = parse_edge_list(ba_file)
-        lam = lanczos(g)[0].lambda1
-        loop = katz_centrality(g, delta=0.5 / lam, lambda1=lam)
+        loop = katz_centrality(g, delta=0.5 / lanczos(g).lambda1)
         scores = read_scores(tmp_path / "katz.csv")
         assert np.array_equal([scores[label] for label in g.labels], loop.scores)
 
@@ -300,15 +298,29 @@ class TestComputeSharedWork:
                 expected = exponential_potential_gain(g, params).scores
             else:
                 gpg = geometric_potential_gain(g, params)
-                delta, lam = gpg.params["delta"], gpg.params["lambda1"]
-                expected = gpg.scores
+                delta, expected = gpg.params["delta"], gpg.scores
                 if metric == "katz" and max_k is None:
-                    expected = katz_centrality(g, delta, lambda1=lam).scores
+                    expected = katz_centrality(g, delta).scores
                 elif metric == "katz":  # the series: Katz is 1 + delta GPG
                     expected = 1.0 + delta * gpg.scores
             scores = read_scores(alone)
             assert np.array_equal([scores[label] for label in g.labels],
                                   expected)
+
+    def test_one_lambda1_per_run(self, tmp_path, monkeypatch):
+        # on P_3000 with the cap cut to 2,000 SpMVs the EC rule stops at
+        # step 1,000, before the lambda1 rule is met at step 1,536: every
+        # column reports the lambda1 rule's estimate, not its own
+        for module in (spectral, cli):
+            monkeypatch.setattr(module, "DEFAULT_MAX_ITER", 2000)
+        path = tmp_path / "p3000.txt"
+        path.write_text("".join(f"{i} {i + 1}\n" for i in range(2999)))
+        assert main(["compute", "--metric", "all", "--format", "json",
+                     "--out", str(tmp_path), str(path)]) == 3
+        ec, gpg = (json.loads((tmp_path / f"{metric}.json").read_text())
+                   for metric in ("ec", "gpg"))
+        assert ec["converged"] is False
+        assert ec["params"]["lambda1"] == gpg["params"]["lambda1"]
 
     @pytest.mark.parametrize("metric", ["gpg", "katz"])
     def test_max_k_with_unconverged_lambda1(self, tmp_path, monkeypatch,
@@ -683,7 +695,7 @@ class TestSpectral:
 
     def test_skips_the_eigenvector_replay(self, ba_file, capsys, monkeypatch):
         g = parse_edge_list(ba_file)
-        full = lanczos(g)[0]
+        full = lanczos(g)
         calls = count_spmv(monkeypatch)
         assert main(["spectral", str(ba_file)]) == 0
         out = capsys.readouterr().out
