@@ -20,6 +20,7 @@ from pgain.errors import (ParameterError, UndefinedCorrelationError,
                           check_tolerance, check_unit_interval)
 from pgain.gain import DEFAULT_TOLERANCE, GainParams, _gpg_from_katz
 from pgain.graph import Graph
+from pgain.vectors import dot
 
 DEFAULT_GRID = tuple(np.linspace(0.1, 0.9, 9))
 SWEEP_COLUMNS = ("deg", "ec", "pr", "katz", "epg")
@@ -74,9 +75,7 @@ def _rho_from_ranks(rx: np.ndarray, ry: np.ndarray) -> float:
         return -1.0
     dx = rx - rx.mean()
     dy = ry - ry.mean()
-    vx = float(dx @ dx)
-    vy = float(dy @ dy)
-    return float(dx @ dy) / np.sqrt(vx * vy)
+    return dot(dx, dy) / np.sqrt(dot(dx, dx) * dot(dy, dy))
 
 
 @dataclass(frozen=True)
@@ -107,8 +106,9 @@ def delta_sweep(
 
     One Lanczos pass gives lambda1, by the rule of ``gain._solve``'s pass
     (no vector, the full cap), the EC column, the Katz vector at every
-    delta = delta_star / lambda1 and u = exp(A - theta I) 1, in the steps
-    of the longest of them plus a replay of the longest vector's, less one.
+    delta = delta_star / lambda1 and u = exp(A - theta I) 1, each solve
+    within the SpMVs ``gain._solve`` allows it, in the steps of the longest
+    of them plus a replay of the longest vector's, less one.
     GPG = A Katz (``gain._gpg_from_katz``). EPG = e^theta A u has the ranks
     of A u, which float64 holds whatever lambda1 is. Katz = 1 + delta * GPG
     (the identity Katz = 1 + delta A Katz) is strictly increasing in GPG, so
@@ -123,8 +123,7 @@ def delta_sweep(
     # PageRank first, so its temporaries are gone before the pass's vectors
     pr = baselines.pagerank(g, alpha=alpha, tolerance=tolerance)
     # the lambda1 rule of gain._solve's pass, then the EC column's
-    rules = [(spectral.DEFAULT_TOL, spectral.DEFAULT_MAX_ITER, vector)
-             for vector in (False, True)]
+    rules = [spectral._lambda1_rule(vector) for vector in (False, True)]
     [estimate, spectrum], krylov = spectral._lanczos(g, rules, decays,
                                                      tolerance, exp=True)
     lam = estimate.lambda1

@@ -5,8 +5,8 @@ The compiled kernel, ``_ckernels`` (plain C built from ``_ckernels.c`` by
 ``BACKEND`` and the benchmark records name the compiled kernel ``cython``,
 after the toolchain that used to build it. Both sum each row from 0.0 over
 its sorted neighbours, one addition at a time, so their products are
-bit-identical and no result depends on the backend (the solvers' BLAS dot
-products can still depend on the BLAS thread count).
+bit-identical and no result depends on the backend, nor on the BLAS
+thread count: the solvers' dot products use ``vectors.dot``, not BLAS.
 """
 
 try:

@@ -42,7 +42,7 @@ from pgain import spectral
 from pgain.errors import (ParameterError, SeriesOverflowError, check_cap,
                           check_graph, check_tolerance, check_unit_interval)
 from pgain.graph import Graph
-from pgain.vectors import CentralityVector, ConvergenceTrace
+from pgain.vectors import CentralityVector, ConvergenceTrace, dot
 
 DEFAULT_DELTA_STAR = 0.5  # the classic Katz choice delta = 1/(2*lambda1)
 DEFAULT_TOLERANCE = 1e-12
@@ -149,20 +149,21 @@ def gain_with_trace(
     kind: str = "geometric",
 ) -> tuple[CentralityVector, ConvergenceTrace]:
     """Gain plus the per-k relative error against a converged reference,
-    the same series run to a relative term contribution of 1e-15.
+    the same series run to a relative term contribution of 1e-15, or of
+    ``tolerance`` if smaller, so it never stops before the series.
 
-    A geometric gain resolves its decay against the lambda1 of
-    ``spectral.lanczos`` without a vector, the rule of ``_solve``'s pass,
-    and is converged only if that estimate is.
+    A geometric gain resolves its decay against the lambda1 of the rule
+    ``_solve``'s pass opens with, and is converged only if that estimate is.
     """
     if kind not in ("geometric", "exponential"):
         raise ParameterError(f"unknown gain kind {kind!r}")
     params = params or GainParams()
     lam, lam_converged = None, True
     if kind == "geometric":
-        estimate = spectral.lanczos(g, eigenvectors=False)
+        estimate = spectral.lanczos(g, *spectral._lambda1_rule())
         lam, lam_converged = estimate.lambda1, estimate.converged
-    long_params = replace(params, max_walk_length=None, tolerance=1e-15)
+    long_params = replace(params, max_walk_length=None,
+                          tolerance=min(1e-15, params.tolerance or 1.0))
     reference = _gain(g, kind, long_params, lam).scores
     ref_norm = _norm(reference)
 
@@ -223,22 +224,20 @@ def _solve(g, params, metrics, max_iter=None):
     ``"communicability"``; other names are ignored) from one
     ``spectral._lanczos`` pass, and the estimates of its lambda1 rules.
 
-    The pass's first rule is lambda1's: ``spectral.DEFAULT_TOL`` within
-    ``spectral.DEFAULT_MAX_ITER`` SpMVs, no Ritz vector. It runs for
-    ``"ec"``, and for Katz and GPG, which converge only if it does; its
-    estimate is the run's one lambda1, which every column's params report.
-    ``"ec"`` adds the rule ``params.tolerance`` within ``max_iter`` SpMVs,
-    whose Ritz vector is the EC column. The pass solves for Katz x at
-    ``params``' decay and u = exp(A - shift I) 1, each to
+    The pass's first rule is lambda1's, ``spectral._lambda1_rule()``. It
+    runs for ``"ec"``, and for Katz and GPG, which converge only if it
+    does; its estimate is the run's one lambda1, which every column's
+    params report. ``"ec"`` adds the rule ``params.tolerance`` within
+    ``max_iter`` SpMVs, whose Ritz vector is the EC column. The pass solves
+    for Katz x at ``params``' decay and u = exp(A - shift I) 1, each to
     ``params.tolerance`` or until another step would take its pass and
-    replay past ``max_iter`` SpMVs (m steps cost 2m - 1); a solve stopped
-    there reports ``"max_k"``, or ``"safety_cap"`` at the default cap
-    (``max_iter=None``). GPG = A x (one SpMV, which certifies x) and
-    Katz = 1 + delta GPG in x's buffer, one fixed-point step from x, so
-    within delta lambda1 times x's error, converge when the certificate
-    holds. EPG = e^shift A u and communicability e^shift u (in u's
-    buffer) converge when Saad's estimate met the tolerance. Each counts
-    the SpMVs of pass, replay and product.
+    replay past ``max_iter`` SpMVs; a solve stopped there reports
+    ``"max_k"``, or ``"safety_cap"`` at the default cap (``max_iter=None``).
+    GPG = A x (one SpMV, which certifies x) and Katz = 1 + delta GPG in x's
+    buffer, one fixed-point step from x, so within delta lambda1 times x's
+    error, converge when the certificate holds. EPG = e^shift A u and
+    communicability e^shift u (in u's buffer) converge when Saad's estimate
+    met the tolerance. Each counts the SpMVs of pass, replay and product.
     With ``params.max_walk_length`` the pass runs the lambda1 rules alone,
     GPG and EPG are walk series (``_gain``) and Katz is 1 + delta GPG,
     converged only when the series' tolerance rule stopped it. A vector
@@ -250,18 +249,17 @@ def _solve(g, params, metrics, max_iter=None):
     exponential = not series and bool({"epg", "communicability"} & wanted)
     rules = []
     if "ec" in wanted or geometric:
-        rules.append((spectral.DEFAULT_TOL, spectral.DEFAULT_MAX_ITER, False))
+        rules.append(spectral._lambda1_rule())
     if "ec" in wanted:
         rules.append((params.tolerance,
                       max_iter or spectral.DEFAULT_MAX_ITER, True))
     decays = ((lambda lam: [params.resolve_delta(lam)])
               if geometric and not series else None)
     capped = "safety_cap" if max_iter is None else "max_k"
-    max_steps = ((max_iter or spectral.DEFAULT_MAX_ITER) + 1) // 2
     estimates, krylov = [], None
     if rules or exponential:  # the decays come with the lambda1 rule
         estimates, krylov = spectral._lanczos(
-            g, rules, decays, params.tolerance, exponential, max_steps)
+            g, rules, decays, params.tolerance, exponential, max_iter)
     lambda1, lambda1_converged = None, True
     if estimates:
         lambda1, lambda1_converged = (estimates[0].lambda1,
@@ -275,13 +273,13 @@ def _solve(g, params, metrics, max_iter=None):
         gpg = _gain(g, "geometric", params, lambda1, lambda1_converged)
         katz = 1.0 + gpg.params["delta"] * gpg.scores
     elif geometric:
-        [x], [delta], [steps] = krylov.katz, krylov.deltas, krylov.katz_steps
+        [x], [delta] = krylov.katz, krylov.deltas
         [(scores, certified)] = _gpg_from_katz(g, [x], [delta], lambda1,
                                                params.tolerance, krylov.free)
-        reason = (capped if steps == max_steps and not certified
+        reason = (capped if krylov.katz_capped[0] and not certified
                   else "tolerance")
-        gpg = CentralityVector(scores, "gpg",
-                               _snapshot(params, delta, lambda1), 2 * steps,
+        gpg = CentralityVector(scores, "gpg", _snapshot(params, delta, lambda1),
+                               krylov.katz_spmvs[0] + 1,
                                certified and lambda1_converged, reason)
         katz = np.multiply(scores, delta, out=x)
         katz += 1.0
@@ -296,16 +294,16 @@ def _solve(g, params, metrics, max_iter=None):
     if "epg" in wanted and series:
         vectors["epg"] = _gain(g, "exponential", params)
     elif exponential:
-        u, steps = krylov.exp, 2 * krylov.exp_steps - 1
+        u, spmvs = krylov.exp, krylov.exp_spmvs
         reason = "tolerance" if krylov.exp_met else capped
         # EPG first: A u is taken before u is scaled in place
         for metric in ("epg", "communicability"):
             if metric not in wanted:
                 continue
-            v, spent, snapshot = u, steps, {"tolerance": params.tolerance}
+            v, spent, snapshot = u, spmvs, {"tolerance": params.tolerance}
             if metric == "epg":
                 v = g.spmv(u, out=krylov.free[2])
-                spent, snapshot = steps + 1, _snapshot(params)
+                spent, snapshot = spmvs + 1, _snapshot(params)
             with np.errstate(over="ignore", invalid="ignore"):
                 v *= np.exp(krylov.shift)
             if not np.isfinite(v).all():
@@ -336,8 +334,8 @@ def _gpg_from_katz(g, katz, deltas, lambda1, tol, free):
         np.multiply(gpg, delta, out=residual)
         residual -= x
         residual += 1.0
-        bound = np.linalg.norm(residual) / (1.0 - delta * lambda1)
-        results.append((gpg, bool(bound <= tol * np.linalg.norm(x))))
+        bound = _norm(residual) / (1.0 - delta * lambda1)
+        results.append((gpg, bound <= tol * _norm(x)))
         spare = x
     return results
 
@@ -413,11 +411,11 @@ def _converged(label: str, terms: int, reason: str) -> bool:
 
 
 def _norm(x: np.ndarray) -> float:
-    """L2 norm that does not overflow while the entries are finite."""
-    norm = float(np.linalg.norm(x))
+    """L2 norm by ``dot`` that does not overflow while entries are finite."""
+    norm = math.sqrt(dot(x, x))
     if norm == math.inf:  # the squares overflowed; rescale by the largest entry
         scale = float(np.abs(x).max())
         if scale < math.inf:
-            norm = scale * float(np.linalg.norm(x / scale))
+            norm = scale * _norm(x / scale)
     return norm
 

@@ -39,7 +39,7 @@ import numpy as np
 from pgain.errors import (ParameterError, check_cap, check_graph,
                           check_tolerance)
 from pgain.graph import Graph
-from pgain.vectors import CentralityVector
+from pgain.vectors import CentralityVector, dot
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
@@ -69,15 +69,16 @@ class SpectralEstimate:
 @dataclass(frozen=True)
 class _Pass:
     """What one ``_lanczos`` run gives besides the lambda1 estimates; its
-    decays are at the first estimate's lambda1, its cap on steps is the
-    caller's."""
+    decays are at the first estimate's lambda1. A solve's cost is that of
+    its pass and replay alone: 2m - 1 SpMVs for m steps."""
 
     deltas: list  # the decays, at the run's lambda1
     katz: list  # (I - delta_j A)^(-1) 1 per decay
-    katz_steps: list  # pass-1 steps per decay
+    katz_spmvs: list  # the cost of the solve per decay
+    katz_capped: list  # per decay: its solve stopped at the cap on steps
     exp: np.ndarray | None  # exp(A - shift I) 1
     shift: float
-    exp_steps: int
+    exp_spmvs: int  # the cost of the exp solve
     exp_met: bool  # Saad's estimate met the tolerance before the cap
     free: list  # the recurrence's n-vectors, free for the caller's products
 
@@ -104,14 +105,20 @@ def lanczos(
     return _lanczos(g, [(tol, max_iter, eigenvectors)])[0][0]
 
 
-def _lanczos(g, rules, decays=None, tol=None, exp=False,
-             max_steps=DEFAULT_MAX_ITER):
+def _lambda1_rule(vector=False):
+    """The one lambda1 rule, ``DEFAULT_TOL`` within ``DEFAULT_MAX_ITER``
+    SpMVs, read when called; ``vector`` asks for its Ritz vector too."""
+    return DEFAULT_TOL, DEFAULT_MAX_ITER, vector
+
+
+def _lanczos(g, rules, decays=None, tol=None, exp=False, max_iter=None):
     """``lanczos`` for several stop rules in one run, with a ``(tol,
     max_iter, vector)`` triple per rule: each estimate is exactly what
     ``lanczos(g, tol, max_iter, vector)`` returns, and only a rule with
     ``vector`` has its Ritz vector replayed, so only its cap and cost count
-    the replay. Plus the solves from the uniform vector, each to ``tol``
-    within ``max_steps`` pass-1 steps: the Katz vectors at
+    the replay. Plus the solves from the uniform vector, each to ``tol`` or
+    until another step would take its pass and replay past ``max_iter``
+    SpMVs (``DEFAULT_MAX_ITER`` when None): the Katz vectors at
     ``decays(lambda1)``, lambda1 the estimate of the first rule, and, with
     ``exp``, exp(A - shift I) 1. Returns the estimates and a ``_Pass``.
 
@@ -124,18 +131,18 @@ def _lanczos(g, rules, decays=None, tol=None, exp=False,
     The replay holds three n-vectors besides the wanted ones; they are
     returned in ``free``. An empty graph raises ``ParameterError``.
     """
-    for rule_tol, max_iter, _ in rules:
+    for rule_tol, cap, _ in rules:
         check_tolerance(rule_tol)
-        check_cap(max_iter, "max_iter")
+        check_cap(cap, "max_iter")
     n = check_graph(g)
 
     uniform = 1.0 / math.sqrt(n)
     buffers = [np.empty(n) for _ in range(3)]  # q_prev, q, w
     alphas, betas = [], []  # T_m, and beta_m
-    # the last step a rule can afford: m steps cost 2m - 1 SpMVs with the
-    # replay, m without
-    caps = [(max_iter + 1) // 2 if vector else max_iter
-            for _, max_iter, vector in rules]
+    # the last step a rule or solve can afford: m steps cost 2m - 1 SpMVs
+    # with the replay, m without
+    caps = [(cap + 1) // 2 if vector else cap for _, cap, vector in rules]
+    max_steps = ((max_iter or DEFAULT_MAX_ITER) + 1) // 2
     exp_stop = None  # (coefficients, shift, steps, met) once exp stops
     stops = {}  # rule -> (Ritz coefficients, theta, cost, converged, residual)
     recurrence = _recurrence(g, uniform, buffers)
@@ -177,19 +184,20 @@ def _lanczos(g, rules, decays=None, tol=None, exp=False,
         if v.sum() < 0:
             np.negative(v, out=v)
         np.maximum(v, 0.0, out=v)  # the Perron vector has no negative entry
-        v /= math.sqrt(v @ v)
+        v /= math.sqrt(dot(v, v))
         v.flags.writeable = False
     estimates = [SpectralEstimate(theta, ritz.get(j), cost, met, residual)
                  for j, (_, theta, cost, met, residual)
                  in sorted(stops.items())]
-    shift, exp_steps, exp_met = exp_stop[1:] if exp else (math.nan, 0, True)
+    shift, exp_spmvs, exp_met = exp_stop[1:] if exp else (math.nan, 0, True)
     return estimates, _Pass(
         deltas=deltas,
         katz=vectors[:len(deltas)],
-        katz_steps=katz_steps,
+        katz_spmvs=[2 * m - 1 for m in katz_steps],
+        katz_capped=[m == max_steps for m in katz_steps],
         exp=vectors[-1] if exp else None,
         shift=shift,
-        exp_steps=exp_steps,
+        exp_spmvs=exp_spmvs,
         exp_met=exp_met,
         free=buffers,
     )
@@ -247,7 +255,7 @@ def _top_pair(alphas, betas):
         for i in range(len(d) - 2, -1, -1):
             x[i] = x[i] / d[i] - ratios[i] * x[i + 1]
     s = np.array(x)
-    return hi, s / math.sqrt(s @ s)
+    return hi, s / math.sqrt(dot(s, s))
 
 
 def _exp_rule(alphas, betas, tol, max_steps):
@@ -255,15 +263,15 @@ def _exp_rule(alphas, betas, tol, max_steps):
     (diagonal ``alphas``, off-diagonal ``betas[:-1]``): c_m = exp(T_m -
     theta I) e_1, theta the top Ritz value, and Saad's a posteriori
     estimate beta_m |e_m^T c_m| / ||c_m|| of the relative error of Q_m c_m.
-    Returns ``(c_m, theta, m, met)`` once the estimate is at most ``tol``
-    or step m is the cap, else None."""
+    Returns ``(c_m, theta, 2m - 1, met)``, with its SpMVs, once the
+    estimate is at most ``tol`` or step m is the cap, else None."""
     m = len(alphas)
     thetas, vectors = np.linalg.eigh(np.diag(alphas)
                                      + np.diag(betas[:-1], -1))
     shift = float(thetas[-1])
     c = vectors @ (np.exp(thetas - shift) * vectors[0])
-    met = betas[-1] * abs(float(c[-1])) <= tol * math.sqrt(float(c @ c))
-    return (c, shift, m, met) if met or m == max_steps else None
+    met = betas[-1] * abs(float(c[-1])) <= tol * math.sqrt(dot(c, c))
+    return (c, shift, 2 * m - 1, met) if met or m == max_steps else None
 
 
 def eigenvector_centrality(
@@ -273,7 +281,7 @@ def eigenvector_centrality(
     return lanczos(g, tol, max_iter).centrality(tol)
 
 
-def _katz_solve(steps, n, deltas, lambda1, tol, max_steps=DEFAULT_MAX_ITER):
+def _katz_solve(steps, n, deltas, lambda1, tol, max_steps):
     """Coefficients y_j of the Katz vectors x_j = (I - delta_j A)^(-1) 1 =
     Q_m y_j, from the (alpha, beta) ``steps`` of the recurrence from the
     uniform vector on ``n`` nodes.
@@ -349,10 +357,10 @@ def _recurrence(g, start, buffers):
         g.spmv(q, out=w)
         q_prev *= beta
         w -= q_prev
-        alpha = float(q @ w)
+        alpha = dot(q, w)
         np.multiply(q, alpha, out=q_prev)
         w -= q_prev
-        beta = math.sqrt(w @ w)
+        beta = math.sqrt(dot(w, w))
         q_prev, q, w = q, w, q_prev
         if beta > 0.0:
             q /= beta

@@ -1,4 +1,4 @@
-"""Result containers shared by the centrality computations."""
+"""Result containers shared by the centrality computations, and ``dot``."""
 
 from __future__ import annotations
 
@@ -7,6 +7,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from pgain.errors import PgainError
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b in numpy's own loop, not BLAS: one order at any thread count."""
+    return float(np.einsum("i,i", a, b))
 
 
 @dataclass(frozen=True)
@@ -36,8 +41,8 @@ class ConvergenceTrace:
     """Relative L2 truncation error of the k-term series, per k.
 
     ``errors`` holds (k, epsilon) pairs for k = 1 .. iterations used,
-    measured against the same series run to a relative term of 1e-15.
-    The CLI writes it as CSV or JSON.
+    measured against the same series run to a relative term of 1e-15, or
+    of its tolerance if smaller. The CLI writes it as CSV or JSON.
     """
 
     metric: str

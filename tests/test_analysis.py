@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgain import (
+    GainParams,
     Graph,
     ParameterError,
     UndefinedCorrelationError,
@@ -38,11 +39,12 @@ from conftest import STAR_PLUS_TAIL_EDGES, ba_graph, count_spmv, rel_err
 
 def katz_solve(g, deltas, lambda1, tol):
     """Katz vectors and step counts from a pass and a replay of their own
-    from the uniform vector, which the sweep's shared pass must match."""
+    from the uniform vector, within the pass's default cap on steps, which
+    the sweep's shared pass must match."""
     n = g.node_count
     uniform, buffers = 1.0 / math.sqrt(n), [np.empty(n) for _ in range(3)]
-    coefficients = _katz_solve(
-        _recurrence(g, uniform, buffers), n, deltas, lambda1, tol)
+    coefficients = _katz_solve(_recurrence(g, uniform, buffers), n, deltas,
+                               lambda1, tol, (DEFAULT_MAX_ITER + 1) // 2)
     katz = _replay(g, uniform, coefficients, buffers)
     return katz, [len(y) for y in coefficients]
 
@@ -192,6 +194,22 @@ class TestDeltaSweep:
         assert not result.converged
         assert (result.lambda1
                 == geometric_potential_gain(g).params["lambda1"])
+
+    def test_solves_have_the_gains_cap(self, monkeypatch):
+        # on P_3000 with the default cap cut to 200 SpMVs the lambda1 rule
+        # runs 200 steps, and the Katz solve at delta_star = 0.9999 stops at
+        # step 100, replayed in 99 SpMVs, in the sweep as in the gain
+        monkeypatch.setattr(spectral, "DEFAULT_MAX_ITER", 200)
+        g = Graph.from_edges([(i, i + 1) for i in range(2999)])
+        with monkeypatch.context() as patch:
+            calls = count_spmv(patch)
+            geometric_potential_gain(g, GainParams(delta_star=0.9999))
+        assert len(calls) == 200 + 99 + 1  # and GPG = A Katz
+        with monkeypatch.context() as patch:
+            calls = count_spmv(patch)
+            delta_sweep(g, grid=[0.9999])
+        # and PageRank, EPG and GPG
+        assert len(calls) == 200 + 99 + pagerank(g).iterations_used + 2
 
     def test_bad_grid_rejected(self, star_plus_tail, monkeypatch):
         calls = count_spmv(monkeypatch)

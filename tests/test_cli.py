@@ -724,3 +724,28 @@ class TestRuntime:
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "ec.csv").exists()
+
+    def test_outputs_do_not_depend_on_the_blas_threads(self, tmp_path):
+        # every dot product sums in one order; threaded BLAS would split
+        # the long ones of BA(20000, 3) by the thread count
+        ba = tmp_path / "ba.txt"
+        main(["generate", "ba", "20000", "3", "--seed", "1", "--out", str(ba)])
+        src = str(Path(pgain.__file__).resolve().parents[1])
+        written = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [
+                           src, os.environ.get("PYTHONPATH")])))
+            out = tmp_path / threads
+            outputs = {}
+            for args in (["compute", "--metric", "all", "--out", str(out)],
+                         ["convergence", "--metric", "gpg"], ["spectral"]):
+                result = subprocess.run(
+                    [sys.executable, "-m", "pgain.cli", *args, str(ba)],
+                    env=env, capture_output=True, timeout=300)
+                assert result.returncode == 0, result.stderr
+                outputs[args[0]] = result.stdout
+            outputs.update((f.name, f.read_bytes()) for f in out.iterdir())
+            written.append(outputs)
+        assert len(written[0]) == 3 + 6  # stdout and the six columns
+        assert written[0] == written[1]

@@ -1,5 +1,4 @@
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -117,6 +116,14 @@ class TestTraces:
         eps = np.array([e for _, e in trace.errors])
         assert np.all(eps[:-1] > 0)
         assert np.all(np.diff(eps[2:]) < 0)  # eventually strictly decreasing
+
+    @pytest.mark.parametrize("kind", ["geometric", "exponential"])
+    def test_reference_outlasts_the_series(self, kind):
+        # below 1e-15 the reference runs to the trace's own tolerance, so
+        # the series reaches it, an error of 0, only at its last term
+        g = ba_graph(2000, 3, seed=1)
+        _, trace = gain_with_trace(g, GainParams(tolerance=1e-16), kind=kind)
+        assert 0.0 not in [eps for _, eps in trace.errors[:-1]]
 
     def test_trace_matches_series_definition(self, s4):
         # epsilon(k) against the dense oracle, recomputed here from scratch
@@ -328,10 +335,7 @@ class TestLambda1Converged:
     cut to 1,000 SpMVs the solve stops at it."""
 
     def test_unconverged_lambda1_reaches_the_result(self, monkeypatch):
-        # the pass reads spectral.DEFAULT_MAX_ITER, lanczos its default rule
         monkeypatch.setattr(spectral, "DEFAULT_MAX_ITER", 1000)
-        monkeypatch.setattr(spectral, "lanczos", partial(
-            spectral.lanczos, max_iter=1000))
         g = Graph.from_edges([(i, i + 1) for i in range(2999)])
         params = GainParams(delta_star=0.5)
         gpg = geometric_potential_gain(g, params)
@@ -339,6 +343,14 @@ class TestLambda1Converged:
         assert not gain_with_trace(g, params)[0].converged
         katz = katz_centrality(g, 0.49)
         assert katz.stop_reason == "tolerance" and not katz.converged
+
+    def test_trace_reads_the_rule_when_called(self, monkeypatch):
+        # the trace's lambda1 follows the patched cap, as the pass's does
+        monkeypatch.setattr(spectral, "DEFAULT_MAX_ITER", 1000)
+        g = Graph.from_edges([(i, i + 1) for i in range(2999)])
+        _, trace = gain_with_trace(g)
+        assert (trace.params["lambda1"]
+                == geometric_potential_gain(g).params["lambda1"])
 
 
 def pass_vectors(g, delta_star=0.5, tol=1e-12):
