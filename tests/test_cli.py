@@ -705,6 +705,13 @@ class TestSpectral:
         assert len(calls) == (full.iterations + 1) // 2
 
 
+def fresh_env(**variables):
+    """The environment of a fresh interpreter that imports this pgain."""
+    src = str(Path(pgain.__file__).resolve().parents[1])
+    return dict(os.environ, **variables, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestRuntime:
     def test_compute_all_imports_no_scipy(self, ba_file, tmp_path):
         # numpy is the only runtime dependency; the tests use scipy, so
@@ -717,10 +724,7 @@ class TestRuntime:
             "assert code == 0, code\n"
             "assert 'scipy' not in sys.modules\n"
         )
-        src = str(Path(pgain.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        result = subprocess.run([sys.executable, "-c", script], env=env,
+        result = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "ec.csv").exists()
@@ -730,12 +734,9 @@ class TestRuntime:
         # the long ones of BA(20000, 3) by the thread count
         ba = tmp_path / "ba.txt"
         main(["generate", "ba", "20000", "3", "--seed", "1", "--out", str(ba)])
-        src = str(Path(pgain.__file__).resolve().parents[1])
         written = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(filter(None, [
-                           src, os.environ.get("PYTHONPATH")])))
+            env = fresh_env(OPENBLAS_NUM_THREADS=threads)
             out = tmp_path / threads
             outputs = {}
             for args in (["compute", "--metric", "all", "--out", str(out)],
