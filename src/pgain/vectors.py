@@ -41,8 +41,12 @@ class ConvergenceTrace:
     """Relative L2 truncation error of the k-term series, per k.
 
     ``errors`` holds (k, epsilon) pairs for k = 1 .. iterations used,
-    measured against the same series run to a relative term of 1e-15, or
-    of its tolerance if smaller. The CLI writes it as CSV or JSON.
+    measured against the same series, in the same run, carried on to a
+    relative term of 1e-15, or of its tolerance if smaller. epsilon(k) is
+    the norm of the terms after the k-th over the reference's, from the
+    terms' walk-count inner products: within about 1e-13 relative of the
+    tails summed directly, below 1e-12 as well. The CLI writes it as CSV or
+    JSON.
     """
 
     metric: str

@@ -27,7 +27,7 @@ from pgain import spectral
 from pgain.spectral import KRYLOV_DIM
 from pgain.vectors import CentralityVector
 
-from conftest import ba_graph, er_graph, rel_err
+from conftest import ba_graph, count_spmv, er_graph, rel_err
 
 E2 = math.e**2
 
@@ -138,6 +138,80 @@ class TestTraces:
             partial = partial + 0.3 ** (k - 1) * (power @ np.ones(5))
             expected = np.linalg.norm(ref - partial) / np.linalg.norm(ref)
             assert eps == pytest.approx(expected, rel=1e-8, abs=1e-14)
+
+
+def reference_terms(g, kind, delta=None):
+    """Terms of the trace's reference: the series at a tolerance of 1e-15."""
+    params = GainParams(delta=delta, max_walk_length=gain.SAFETY_MAX_TERMS,
+                        tolerance=1e-15)
+    if kind == "geometric":
+        return geometric_potential_gain(g, params).iterations_used
+    return exponential_potential_gain(g, params).iterations_used
+
+
+class TestOneRunTrace:
+    """The trace comes from the series' one run and its walk counts."""
+
+    @pytest.fixture(scope="class")
+    def ba2000(self):
+        return ba_graph(2000, 3, seed=1)
+
+    @pytest.mark.parametrize("kind", ["geometric", "exponential"])
+    @pytest.mark.parametrize("graph", ["ba2000", "p50"])
+    def test_matches_directly_summed_tails(self, request, graph, kind):
+        # P_50 is bipartite: every odd walk count is 0
+        g = (request.getfixturevalue(graph) if graph == "ba2000"
+             else Graph.from_edges([(i, i + 1) for i in range(49)]))
+        _, trace = gain_with_trace(g, kind=kind)
+        delta = trace.params["delta"]
+        term = g.spmv(np.ones(g.node_count))
+        terms = [term]
+        for k in range(1, reference_terms(g, kind, delta)):
+            term = g.spmv(term, scale=delta if kind == "geometric" else 1 / k)
+            terms.append(term)
+        tail, tails = np.zeros(g.node_count), []
+        for term in reversed(terms):  # from the smallest term up
+            tails.append(np.linalg.norm(tail))
+            tail = tail + term
+        expected = np.array(tails[::-1]) / np.linalg.norm(tail)
+        eps = [e for _, e in trace.errors]
+        assert len(eps) < len(terms)
+        assert eps == pytest.approx(expected[:len(eps)].tolist(), rel=1e-12,
+                                    abs=0)
+
+    def test_k400_epg_matches_closed_form(self):
+        # every term is a constant vector, 399^j / (j-1)!, and its squared
+        # norm overflows: epsilon(k) is a ratio of integer sums
+        g = Graph.from_edges(complete_edges(400))
+        _, trace = gain_with_trace(g, kind="exponential")
+        terms = reference_terms(g, "exponential")
+        weights = [399**j * (math.factorial(terms - 1) // math.factorial(j - 1))
+                   for j in range(1, terms + 1)]
+        total = sum(weights)
+        for k, eps in trace.errors:
+            assert eps == pytest.approx(sum(weights[k:]) / total, rel=1e-12, abs=0)
+
+    def test_spends_the_references_terms(self, ba2000, monkeypatch):
+        calls = count_spmv(monkeypatch)
+        gain_with_trace(ba2000, kind="exponential")
+        monkeypatch.undo()
+        assert len(calls) == reference_terms(ba2000, "exponential") == 57
+
+    @pytest.mark.parametrize("kind,metric", [("geometric", "gpg"),
+                                             ("exponential", "epg")])
+    @pytest.mark.parametrize("cap,tol", [(1, 1e-12), (20, 1e-12),
+                                         (10_000, 1e-12), (10_000, 1e-16)])
+    def test_vector_is_the_series_at_its_own_stop(self, ba2000, kind, metric,
+                                                  cap, tol):
+        # at 1e-16 the series and the reference stop together
+        params = GainParams(max_walk_length=cap, tolerance=tol)
+        vector, trace = gain_with_trace(ba2000, params, kind=kind)
+        series = gain._solve(ba2000, params, [metric])[1][metric]
+        assert np.array_equal(vector.scores, series.scores)
+        assert (vector.iterations_used, vector.stop_reason, vector.converged) == (
+            series.iterations_used, series.stop_reason, series.converged)
+        assert len(trace.errors) == vector.iterations_used
+        assert (trace.errors[-1][1] == 0.0) == (tol == 1e-16)
 
 
 class TestConvergenceRates:
