@@ -2,21 +2,25 @@
 
 Graphs are built from whitespace-separated edge lists (KONECT-style ``%`` or
 ``#`` comment lines are skipped). Node labels are arbitrary tokens mapped to
-contiguous internal indices in first-seen order. ``Graph._from_index_pairs``
-alone drops (and counts) self-loops and collapses (and counts) duplicates, so
-the adjacency matrix is always a symmetric 0/1 matrix. Instances are
-immutable and safe for concurrent reads.
+contiguous internal indices in first-seen order. ``_csr`` alone drops (and
+counts) self-loops and collapses (and counts) duplicates, so the adjacency
+matrix is always a symmetric 0/1 matrix. Instances are immutable and safe
+for concurrent reads.
 
-A file path is read by a vectorised reader when the file is plain ASCII: numpy
-finds the first two tokens of each line block by block, packs them into
-uint64 words, groups equal labels by a hash checked word by word, and numbers
-them by first occurrence. A file it cannot take exactly (non-ASCII or control
-bytes, a lone CR, a line with one token, a hash collision, a label over 64
-bytes, or a path that is not a regular file) goes through the line reader,
-which streams and iterables always use: it hands each line's two endpoint
-tokens to ``Graph.from_edges``, so labels are interned in one place on
-that path. Both give the same graph. The CSR arrays come from sorting
-packed ``lo * n + hi`` edge keys.
+A file path is read by a vectorised reader when the file is plain ASCII:
+after one pass that counts the newlines, numpy finds the first two tokens of
+each line block by block and writes them as uint64 words into columns sized
+by that count, groups equal labels by a hash checked word by word, and
+numbers them by first occurrence. It frees each token-sized array at its
+last use and builds the CSR before it makes the label strings, so on a large
+file with two-word labels its traced peak is about 1.6 times the graph it
+returns. A file it cannot take exactly (non-ASCII or control bytes, a lone
+CR, a line with one token, a hash collision, a label over 64 bytes, or a
+path that is not a regular file) goes through the line reader, which streams
+and iterables always use: it hands each line's two endpoint tokens to
+``Graph.from_edges``, so labels are interned in one place on that path. Both
+give the same graph. The CSR arrays come from sorting packed ``lo * n + hi``
+edge keys.
 """
 
 from __future__ import annotations
@@ -87,7 +91,7 @@ class Graph:
         """Build a Graph from (label, label) pairs.
 
         Labels are coerced to ``str`` and indexed in first-seen order; every
-        pair, a loop too, goes to ``_from_index_pairs``.
+        pair, a loop too, goes to ``_csr``.
         """
         index: dict[str, int] = {}
         us: list[int] = []
@@ -95,45 +99,9 @@ class Graph:
         for a, b in pairs:
             us.append(index.setdefault(str(a), len(index)))
             vs.append(index.setdefault(str(b), len(index)))
-        return cls._from_index_pairs(np.asarray(us, dtype=np.int64),
-                                     np.asarray(vs, dtype=np.int64),
-                                     tuple(index))
-
-    @classmethod
-    def _from_index_pairs(cls, us, vs, labels) -> "Graph":
-        """The graph of the pairs (us[i], vs[i]) of indices into ``labels``,
-        loops included: loops are dropped, duplicates collapsed, both counted."""
-        # Each undirected edge is the packed key lo*n + hi and a loop the key
-        # -1, so one sort puts the loops first and equal edges side by side;
-        # a second sort of both directions yields the CSR rows in order.
-        n = len(labels)
-        key = np.minimum(us, vs) * n + np.maximum(us, vs)
-        key[us == vs] = -1
-        key.sort()
-        loops = int(np.searchsorted(key, 0))
-        key = key[loops:]
-        key = key[np.diff(key, prepend=-1) != 0]
-        dupes = len(us) - loops - key.size
-        # both = [hi * n + lo, key] for key = lo * n + hi, built in place:
-        # on large inputs the parse's peak memory is reached here
-        both = np.empty(2 * key.size, dtype=np.int64)
-        both[key.size:] = key
-        flipped = np.remainder(key, n, out=both[:key.size])
-        flipped *= n
-        flipped += np.floor_divide(key, n, out=key)
-        del key, flipped
-        both.sort()
-        indptr = np.searchsorted(both, np.arange(n + 1, dtype=np.int64) * n)
-        indices = np.remainder(both, n, out=both)
-        indptr.flags.writeable = False
-        indices.flags.writeable = False
-        return cls(
-            indptr=indptr,
-            indices=indices,
-            labels=labels,
-            self_loops_dropped=loops,
-            duplicates_collapsed=dupes,
-        )
+        return cls(labels=tuple(index), **_csr(np.asarray(us, dtype=np.int64),
+                                               np.asarray(vs, dtype=np.int64),
+                                               len(index)))
 
     # -- basic accessors ----------------------------------------------------
 
@@ -183,6 +151,36 @@ class Graph:
         return out
 
 
+def _csr(us: np.ndarray, vs: np.ndarray, n: int) -> dict:
+    """The ``Graph`` fields other than ``labels`` for the pairs (us[i],
+    vs[i]) of node indices below ``n``, loops included: loops are dropped,
+    duplicates collapsed, both counted."""
+    # Each undirected edge is the packed key lo*n + hi and a loop the key
+    # -1, so one sort puts the loops first and equal edges side by side;
+    # a second sort of both directions yields the CSR rows in order.
+    key = np.minimum(us, vs) * n + np.maximum(us, vs)
+    key[us == vs] = -1
+    key.sort()
+    loops = int(np.searchsorted(key, 0))
+    key = key[loops:]
+    key = key[np.diff(key, prepend=-1) != 0]
+    dupes = len(us) - loops - key.size
+    # both = [hi * n + lo, key] for key = lo * n + hi, built in place
+    both = np.empty(2 * key.size, dtype=np.int64)
+    both[key.size:] = key
+    flipped = np.remainder(key, n, out=both[:key.size])
+    flipped *= n
+    flipped += np.floor_divide(key, n, out=key)
+    del key, flipped
+    both.sort()
+    indptr = np.searchsorted(both, np.arange(n + 1, dtype=np.int64) * n)
+    indices = np.remainder(both, n, out=both)
+    indptr.flags.writeable = False
+    indices.flags.writeable = False
+    return dict(indptr=indptr, indices=indices, self_loops_dropped=loops,
+                duplicates_collapsed=dupes)
+
+
 def _check_rows(indptr: np.ndarray, indices: np.ndarray, first: int) -> None:
     """No self-loop and strictly ascending neighbours in the rows that
     start at ``first`` and whose pointers are ``indptr``."""
@@ -204,8 +202,8 @@ def parse_edge_list(source: str | Path | TextIO | Iterable[str]) -> Graph:
     ``source`` may be a path or an open text stream / iterable of lines. Each
     non-comment, non-blank line must hold at least two tokens (the endpoints);
     trailing fields such as weights or timestamps are ignored. Blank lines are
-    skipped. Empty input yields the empty graph. ``Graph._from_index_pairs``
-    drops and counts loop lines, whose endpoint still registers its node.
+    skipped. Empty input yields the empty graph. ``_csr`` drops and counts
+    loop lines, whose endpoint still registers its node.
 
     A path is first read by the vectorised ASCII reader; whatever it cannot
     take exactly goes through the line reader, which gives the same graph
@@ -257,16 +255,24 @@ def _utf8_error(raw: bytes) -> ParseError:
 
 # -- vectorised reader for plain-ASCII files ---------------------------------
 #
-# The file is read in blocks of whole lines. In each block numpy finds the
-# first two tokens of every line and packs each into little-endian uint64
-# words, zero-padded (a token never holds a NUL byte, so equal words mean
-# equal tokens); the blocks' word columns are joined once at the end of the
-# file. Across the file, tokens are sorted by a hash of their words,
-# tokens with equal hashes are checked word by word to be equal, and the
-# groups are numbered in order of first occurrence. Anything the line reader
-# would treat differently makes the reader return None.
+# One pass counts the file's newlines, which bounds its endpoint tokens at
+# 2 * (newlines + 1). A second pass reads the file in blocks of whole lines:
+# in each block numpy finds the first two tokens of every line and packs each
+# into little-endian uint64 words, zero-padded (a token never holds a NUL
+# byte, so equal words mean equal tokens), and writes them into word columns
+# of that capacity, made with ``np.zeros`` when a block first needs them, so
+# pages no token reaches are never touched. Across the file, tokens are
+# sorted by a hash of their words, tokens with equal hashes are checked word
+# by word to be equal, one slice of the hash order at a time, and the groups
+# are numbered in order of first occurrence. Each token-sized array is freed
+# at its last use: the columns once the label words are gathered, the hash
+# order once the node ids are placed, the node ids once the CSR is built;
+# the labels become ``str`` last, when only the CSR and the label words are
+# left. Anything the line reader would treat differently makes the reader
+# return None.
 
 _BLOCK_BYTES = 1 << 20
+_CHECK_TOKENS = 1 << 16  # tokens per slice of the hash order checked for collisions
 _MAX_WORDS = 8  # endpoint labels longer than 64 bytes take the line reader
 _PAD = 8 * _MAX_WORDS  # zero bytes after each block, so word reads stay inside
 _LOW_BYTES = np.array([(1 << (8 * r)) - 1 for r in range(9)], dtype=np.uint64)
@@ -283,38 +289,56 @@ def _parse_ascii_file(path) -> Graph | None:
     if grouped is None:
         return None
     order, new_group = grouped
+    del grouped
     first = np.minimum.reduceat(order, np.flatnonzero(new_group))
     rank = np.argsort(first)  # groups in order of first occurrence
-    labels = _decode(columns, first[rank])
+    table = _label_words(columns, first[rank])
     del columns, first
     node = np.empty(rank.size, dtype=np.int64)  # node id of each group
     node[rank] = np.arange(rank.size)
+    del rank
     group = np.cumsum(new_group)
     del new_group
-    group -= 1  # group of each token in hash order
+    group -= 1  # group of each token in hash order, then its node id
+    np.take(node, group, out=group, mode="clip")
+    del node
     ids = np.empty(order.size, dtype=np.int64)
-    ids[order] = node[group]
+    ids[order] = group
     del order, group
-    return Graph._from_index_pairs(ids[0::2], ids[1::2], labels)
+    csr = _csr(ids[0::2], ids[1::2], len(table))
+    del ids
+    return Graph(labels=_decode(table), **csr)
 
 
 def _read_endpoint_words(handle) -> list[np.ndarray] | None:
     """Word columns of every endpoint token in file order, or None when a
-    block needs the line reader. Each block's columns are kept and joined
-    once at the end; a block whose tokens need fewer words gets zero
-    words in the columns it lacks."""
-    blocks = []
+    block needs the line reader. A first pass counts the newlines; each
+    block's words are then written into columns of 2 * (newlines + 1)
+    zeros, a column made when the first block that needs it is read, so
+    the tokens before it keep their zero words. Nothing per block is kept.
+    A file that grew after its newlines were counted takes the line
+    reader."""
+    newlines = sum(chunk.count(b"\n")
+                   for chunk in iter(lambda: handle.read(_BLOCK_BYTES), b""))
+    handle.seek(0)
+    capacity = 2 * (newlines + 1)
+    columns: list[np.ndarray] = []
+    filled = 0
     for block in _line_blocks(handle):
         words = _endpoint_words(block)
         if words is None:
             return None
-        if words:
-            blocks.append(words)
-    width = max(map(len, blocks), default=0)
-    return [np.concatenate([words[k] if k < len(words)
-                            else np.zeros(words[0].size, dtype=np.uint64)
-                            for words in blocks])
-            for k in range(width)]
+        if not words:
+            continue
+        end = filled + words[0].size
+        if end > capacity:
+            return None
+        columns += [np.zeros(capacity, dtype=np.uint64)
+                    for _ in range(len(columns), len(words))]
+        for column, word in zip(columns, words):
+            column[filled:end] = word
+        filled = end
+    return [column[:filled] for column in columns]
 
 
 def _line_blocks(handle) -> Iterator[np.ndarray]:
@@ -400,7 +424,9 @@ def _hash_words(columns: list[np.ndarray]) -> np.ndarray:
 def _group_tokens(columns: list[np.ndarray]):
     """Sort the tokens by hash: the sorting permutation, and a mask that is
     True where a token differs from the one before it in that order. None if
-    two distinct tokens share a hash, which could leave equal tokens apart."""
+    two distinct tokens share a hash, which could leave equal tokens apart.
+    The words are compared ``_CHECK_TOKENS`` tokens of the order at a time,
+    each slice taking the last token of the one before it."""
     h = _hash_words(columns)
     order = np.argsort(h)
     h.sort()
@@ -408,18 +434,26 @@ def _group_tokens(columns: list[np.ndarray]):
     new_group[:1] = True
     np.not_equal(h[1:], h[:-1], out=new_group[1:])
     del h
-    for column in columns:
-        words = column[order]
-        if not np.all((words[1:] == words[:-1]) | new_group[1:]):
-            return None
+    for start in range(0, order.size - 1, _CHECK_TOKENS):
+        rows = order[start : start + _CHECK_TOKENS + 1]
+        apart = new_group[start + 1 : start + rows.size]
+        for column in columns:
+            words = column[rows]
+            if not np.all((words[1:] == words[:-1]) | apart):
+                return None
     return order, new_group
 
 
-def _decode(columns: list[np.ndarray], rows: np.ndarray) -> tuple[str, ...]:
+def _label_words(columns: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """The words of the tokens ``rows``, one row of ``len(columns)`` each."""
     table = np.empty((rows.size, len(columns)), dtype="<u8")
     for k, column in enumerate(columns):
         table[:, k] = column[rows]
-    raw = table.view(f"S{8 * len(columns)}").ravel()
+    return table
+
+
+def _decode(table: np.ndarray) -> tuple[str, ...]:
+    raw = table.view(f"S{8 * table.shape[1]}").ravel()
     step = 1 << 14  # bytes objects for one slice at a time
     return tuple(label.decode("ascii") for i in range(0, raw.size, step)
                  for label in raw[i : i + step].tolist())
