@@ -5,22 +5,27 @@ one gain solve (``gain._solve``), the same computation as ``pgain
 compute``'s ``katz`` and ``epg`` columns: Katz is 1 + delta * GPG
 with GPG = A x from the pass's Katz vector x, certified by x's true
 residual, and communicability is e^shift exp(A - shift I) 1 from the
-Krylov exponential. PageRank is the usual damped power iteration on the
-row-normalized adjacency (transposed product, so undirected graphs reuse
-the symmetric SpMV on a degree-scaled vector).
+Krylov exponential. PageRank, uniform teleport at damping alpha, is
+c D y for the symmetric positive definite system (D - alpha A) y = 1
+(D the degrees), solved by conjugate gradients preconditioned by D, whose
+true residual bounds the scores' L1 error; degree-0 nodes score c.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from pgain import spectral
 from pgain.errors import check_cap, check_tolerance, check_unit_interval
 from pgain.gain import DEFAULT_TOLERANCE, GainParams, _solve
 from pgain.graph import Graph
 from pgain.spectral import DEFAULT_MAX_ITER
-from pgain.vectors import CentralityVector
+from pgain.vectors import CentralityVector, dot
 
 DEFAULT_ALPHA = 0.85
+# PageRank's CG takes the true residual below this L1 norm whatever the
+# tolerance: the recurrence's r would shrink on until its squares underflow
+_RESIDUAL_FLOOR = 1e-100
 
 
 def degree_centrality(g: Graph) -> CentralityVector:
@@ -56,44 +61,91 @@ def pagerank(
     g: Graph,
     alpha: float = DEFAULT_ALPHA,
     tolerance: float = DEFAULT_TOLERANCE,
-    max_iter: int = DEFAULT_MAX_ITER,
+    max_iter: int | None = None,
 ) -> CentralityVector:
-    """Damped PageRank on the row-normalized adjacency, L1-normalized.
+    """PageRank with uniform teleport at damping ``alpha``, by
+    Jacobi-preconditioned conjugate gradients, with a certified L1 error.
 
-    Degree-0 nodes (possible only via dropped self-loops) teleport uniformly.
+    On an undirected graph PageRank p solves (I - alpha A D^-1) p =
+    c 1 on the nodes with edges, c = (1 - alpha) / (n - alpha s). The s
+    degree-0 nodes (possible only via dropped self-loops) have no
+    in-links: each scores c, and the mass they teleport is what lifts
+    (1 - alpha) / n to c (Del Corso, Gulli & Romani 2005). So p = c D y
+    with (D - alpha A) y = 1, which is symmetric positive definite, and CG
+    preconditioned by D solves it at a rate set by alpha alone (the
+    preconditioned spectrum lies in [1 - alpha, 1 + alpha]). Degree-0
+    nodes keep y = 0 in every vector, so no subgraph is built.
+
+    The certificate: D (D - alpha A)^-1 = (I - alpha A D^-1)^-1 and
+    A D^-1 is column-stochastic, so ||D (y - y*)||_1 <= ||r||_1 /
+    (1 - alpha) for r = 1 - (D - alpha A) y, and ||p - p*||_1 <=
+    ||r||_1 / (n - alpha s). Once the recurrence's residual meets
+    ``tolerance`` by that bound, one SpMV of y gives the true residual;
+    the solve stops when it meets it too, and restarts from it otherwise.
+    ``converged`` means exactly that the bound is at most ``tolerance``;
+    the scores then sum to 1 within it. The bound is the computed
+    residual's, whose rounding (about eps ||D y||_1, eps n / (1 - alpha))
+    is below it at tolerances above about 1e-15 / (1 - alpha); a
+    tolerance the float64 residual cannot meet runs to the cap.
+    ``max_iter`` caps the SpMVs (``spectral.DEFAULT_MAX_ITER``, read at
+    the call, when None) and ``iterations_used`` counts them;
+    ``stop_reason`` is ``"tolerance"``, ``"max_k"`` at the caller's cap or
+    ``"safety_cap"`` at the default one.
     """
     check_tolerance(tolerance)
-    check_cap(max_iter, "max_iter")
+    if max_iter is not None:
+        check_cap(max_iter, "max_iter")
     check_unit_interval(alpha, "alpha")
     n = g.node_count
-    if n == 0:
-        return CentralityVector(np.zeros(0), "pr", {"alpha": alpha})
+    params = {"alpha": alpha, "tolerance": tolerance}
+    if g.edge_count == 0:  # each node teleports to all: 1/n, and no system
+        return CentralityVector(np.full(n, 1.0 / max(n, 1)), "pr", params,
+                                stop_reason="tolerance")
 
-    deg = g.degrees.astype(np.float64)
-    dangling = deg == 0.0
-    inv_deg = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, deg))
-    p = np.full(n, 1.0 / n)
-    base = (1.0 - alpha) / n
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        spread = g.spmv(p * inv_deg)  # (row-normalized A)^T p
-        if dangling.any():
-            spread += p[dangling].sum() / n
-        p_new = base + alpha * spread
-        change = float(np.abs(p_new - p).sum())
-        p = p_new
-        if change < tolerance:
-            converged = True
-            break
-    p /= p.sum()
-    return CentralityVector(
-        scores=p,
-        metric="pr",
-        params={"alpha": alpha, "tolerance": tolerance},
-        iterations_used=iterations,
-        converged=converged,
-    )
+    isolated = np.flatnonzero(g.degrees == 0)
+    scale = n - alpha * isolated.size  # ||p - p*||_1 <= ||r||_1 / scale
+    d = g.degrees.astype(np.float64)
+    d[isolated] = 1.0  # with r = 0 there, their rows keep y = 0
+    y = np.zeros(n)
+    r = np.ones(n)
+    r[isolated] = 0.0
+    z = np.divide(r, d)  # the preconditioned residual, then scratch
+    p = z.copy()
+    q = np.empty(n)
+    rz = dot(r, z)
+    cap = max_iter or spectral.DEFAULT_MAX_ITER
+    limit = tolerance * scale  # the stop rule on ||r||_1
+    spmvs, reason = 0, "safety_cap" if max_iter is None else "max_k"
+    while spmvs < cap:
+        g.spmv(p, -alpha, out=q)
+        spmvs += 1
+        q += np.multiply(d, p, out=z)  # (D - alpha A) p
+        step = rz / dot(p, q)
+        y += np.multiply(p, step, out=z)
+        r -= np.multiply(q, step, out=z)
+        l1 = np.abs(r, out=z).sum()
+        refreshed = (l1 <= limit or l1 < _RESIDUAL_FLOOR) and spmvs < cap
+        if refreshed:
+            # the recurrence's r drifts from 1 - (D - alpha A) y by its
+            # rounding: certify with the true residual, or restart from it
+            g.spmv(y, alpha, out=r)
+            spmvs += 1
+            r -= np.multiply(d, y, out=z)
+            r += 1.0
+            r[isolated] = 0.0
+            if np.abs(r, out=z).sum() <= limit:
+                reason = "tolerance"
+                break
+        np.divide(r, d, out=z)
+        rz, previous = dot(r, z), rz
+        p *= 0.0 if refreshed else rz / previous
+        p += z
+    c = (1.0 - alpha) / scale
+    y *= d
+    y *= c
+    y[isolated] = c
+    return CentralityVector(y, "pr", params, spmvs, reason == "tolerance",
+                            reason)
 
 
 def communicability_vector(

@@ -87,8 +87,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_delta_args(compute)
     compute.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
-                         help="PageRank damping factor")
-    compute.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
+                         help="PageRank damping factor, in (0, 1)")
+    compute.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
+                         help="each solve's stop tolerance; for pr a bound"
+                              " on the L1 error of the scores")
     compute.add_argument("--max-k", type=int, default=None,
                          help="sum katz, gpg and epg as the truncated walk"
                               " series of at most this many terms; also the"
@@ -102,8 +104,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("input")
     sweep.add_argument("--grid", default=None,
                        help="comma-separated delta_star values (default 0.1..0.9)")
-    sweep.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    sweep.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
+    sweep.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
+                       help="damping factor of the pr column, in (0, 1)")
+    sweep.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
+                       help="each solve's stop tolerance; for pr a bound on"
+                            " the L1 error of its scores")
     sweep.add_argument("--out", default=None, help="output file (default stdout)")
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep.set_defaults(handler=_cmd_sweep)
@@ -166,8 +171,7 @@ def _cmd_compute(args) -> int:
         # before the pass: PageRank's temporaries and the pass's vectors
         # together would set the run's peak memory
         made["pr"] = _timed(baselines.pagerank, graph, alpha=args.alpha,
-                            tolerance=args.tol,
-                            max_iter=args.max_k or DEFAULT_MAX_ITER)
+                            tolerance=args.tol, max_iter=args.max_k)
     # One solve gives lambda1 and the EC and gain columns, each only when a
     # wanted metric needs it
     uses_lambda1 = bool({"katz", "gpg"} & set(wanted))

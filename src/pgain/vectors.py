@@ -19,9 +19,9 @@ class CentralityVector:
     """Per-node scores plus the parameters that produced them.
 
     ``stop_reason`` says why the solve or walk series behind GPG, EPG,
-    Katz or communicability stopped: ``tolerance`` (its stop rule),
-    ``max_k`` (the caller's cap) or ``safety_cap`` (the library's). It is
-    None for the other computations.
+    Katz, communicability or PageRank stopped: ``tolerance`` (its stop
+    rule), ``max_k`` (the caller's cap) or ``safety_cap`` (the library's).
+    It is None for the other computations.
     """
 
     scores: np.ndarray

@@ -347,6 +347,14 @@ class TestComputeSharedWork:
         assert main(["compute", "--metric", "gpg", "--max-k", "2",
                      "--out", str(tmp_path), str(k3_file)]) == 0
 
+    def test_pagerank_cut_by_max_k_exits_3(self, ba_file, tmp_path, capsys):
+        # BA(300, 3) needs more than 3 SpMVs to certify PageRank's error
+        assert main(["compute", "--metric", "pr", "--max-k", "3",
+                     "--out", str(tmp_path), str(ba_file)]) == 3
+        assert "iterations=3 " in capsys.readouterr().err
+        assert main(["compute", "--metric", "pr", "--out", str(tmp_path),
+                     str(ba_file)]) == 0
+
     def test_katz_on_edgeless_graph(self, tmp_path):
         loops = tmp_path / "loops.txt"
         loops.write_text("1 1\n2 2\n")
