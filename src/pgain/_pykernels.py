@@ -1,76 +1,115 @@
 """Pure-numpy CSR kernels, used when the compiled extension is unavailable.
 
-``spmv_csr`` sums each row with ``np.bincount``, which adds its weights in
-input order starting from 0.0: every row is summed sequentially over its
-sorted neighbours, exactly as the compiled kernel's loop does, so the two
-kernels give bit-identical results.
+``spmv_csr`` runs on a sliced-ELL plan of the CSR: Saad's jagged diagonals
+(1989, SIAM J. Sci. Stat. Comput. 10) in windows of rows, as in SELL-C-sigma
+(Kreutzer et al. 2014, SIAM J. Sci. Comput. 36). The rows are cut into
+windows of ``WINDOW``, so a row's place in its window fits ``uint16``, and
+each window's rows are sorted by degree, descending and stable. For j <
+``COLUMNS``, the j-th neighbour of every row with more than j neighbours
+is stored contiguously (``int32``, or ``int64`` when n >= 2**31). A call
+then runs one ``np.take`` of ``x`` and one contiguous ``np.add`` per
+neighbour column, so each sorted row adds its neighbours one at a time,
+from 0.0, in their sorted order. Rows longer than ``COLUMNS`` finish in one
+``np.bincount`` per window, whose weights start with each row's partial
+sum and then run over its remaining neighbours in order; ``np.bincount``
+adds its weights in input order, starting from 0.0. So every row is summed
+sequentially over its sorted neighbours, exactly as the compiled kernel's
+loop does, and the two kernels give bit-identical results. The sums go
+back to row order through each row's ``uint16`` place in the sorted
+window.
 
-The rows are cut into blocks of about ``BLOCK`` stored entries (a row is
-never split; a longer row is a block of its own) and at most 65,536 rows.
-The plan of a CSR holds, for every stored entry, its row's index within its
-block as ``uint16``: 2 bytes per stored entry, built once per ``indptr``.
-A call then gathers one block of ``x`` at a time into a buffer of one
-block's length, so nothing of the size of ``indices`` is allocated per
-call.
+The plan holds about 4 bytes per stored entry and 2 per row, and is built
+once per CSR. A call allocates buffers of one window's length, so nothing
+of the size of ``indices`` is allocated per call.
 """
 
 import weakref
 
 import numpy as np
 
-BLOCK = 1 << 14  # stored entries per block of the numpy SpMV
-_MAX_ROWS = 1 << 16  # rows per block, so local row ids fit uint16
+WINDOW = 1 << 15  # rows per window of the numpy SpMV, so places fit uint16
+COLUMNS = 32  # neighbour columns per window; longer rows end in a bincount
 
-# (weakref to the last cached indptr, its plan): one slot, replaced whole
-_cached = (None, None)
+# (weakrefs to the last cached indptr and indices, their plan): one slot,
+# replaced whole
+_cached = (None, None, None)
 
 
 def spmv_csr(indptr, indices, x, scale, out):
     """out = scale * (A @ x) for a CSR adjacency with unit values."""
-    cuts, local, width = _plan(indptr)
+    windows, rows = _plan(indptr, indices)
     # per-call buffers, so concurrent calls on one graph share no state
-    w = np.empty(width)
-    ids = np.empty(width, dtype=np.intp)
-    for r0, r1, a, b in cuts:
-        k = b - a
-        # Graph() has checked the indices; mode="raise" would buffer
-        np.take(x, indices[a:b], out=w[:k], mode="clip")
-        ids[:k] = local[a:b]
-        sums = np.bincount(ids[:k], weights=w[:k], minlength=r1 - r0)
-        np.multiply(sums, scale, out=out[r0:r1])
+    acc = np.empty(rows)
+    w = np.empty(rows)
+    for r0, r1, place, columns, tail in windows:
+        s = acc[:r1 - r0]
+        s[:] = 0.0
+        for column in columns:
+            k = column.size
+            # Graph() has checked the indices; mode="raise" would buffer
+            np.take(x, column, out=w[:k], mode="clip")
+            np.add(s[:k], w[:k], out=s[:k])
+        if tail is not None:
+            ids, far = tail
+            long = ids.size - far.size
+            weights = np.empty(ids.size)
+            weights[:long] = s[:long]
+            np.take(x, far, out=weights[long:], mode="clip")
+            s[:long] = np.bincount(ids, weights=weights, minlength=long)
+        s *= scale
+        np.take(s, place, out=out[r0:r1], mode="clip")
 
 
-def _plan(indptr):
-    """The blocks ``(r0, r1, a, b)`` of rows ``r0:r1`` and entries ``a:b``,
-    every entry's row within its block, and the longest block's length.
+def _plan(indptr, indices):
+    """The windows ``(r0, r1, place, columns, tail)`` of rows ``r0:r1``
+    and the longest window's row count.
 
-    An ``indptr`` that is read-only and owns its data cannot change under
-    the plan, so the last one's plan is kept; any other is planned anew on
-    every call. Threads that race here at worst plan the same ``indptr``
-    twice, and either plan is right."""
+    ``place`` gives each row's position in its window's sorted order,
+    ``columns`` the neighbour columns, and ``tail`` (None when no row is
+    longer than ``COLUMNS``) the bincount's row ids and the neighbours past
+    the last column. A CSR whose ``indptr`` and ``indices`` are both
+    read-only and own their data cannot change under the plan, so the last
+    one's plan is kept; any other is planned anew on every call. Threads
+    that race here at worst plan the same CSR twice, and either plan is
+    right."""
     global _cached
-    ref, plan = _cached
-    if ref is not None and ref() is indptr:
+    indptr_ref, indices_ref, plan = _cached
+    if (indptr_ref is not None and indptr_ref() is indptr
+            and indices_ref() is indices):
         return plan
-    plan = _build_plan(indptr)
-    if not indptr.flags.writeable and indptr.flags.owndata:
-        _cached = (weakref.ref(indptr), plan)
+    plan = _build_plan(indptr, indices)
+    if all(not a.flags.writeable and a.flags.owndata for a in (indptr, indices)):
+        _cached = (weakref.ref(indptr), weakref.ref(indices), plan)
     return plan
 
 
-def _build_plan(indptr):
+def _build_plan(indptr, indices):
     n = indptr.size - 1
-    cuts = []
-    r0 = 0
-    while r0 < n:
-        a = int(indptr[r0])
-        r1 = int(np.searchsorted(indptr, a + BLOCK, side="right")) - 1
-        r1 = min(max(r1, r0 + 1), r0 + _MAX_ROWS, n)
-        cuts.append((r0, r1, a, int(indptr[r1])))
-        r0 = r1
-    local = np.empty(int(indptr[-1]), dtype=np.uint16)
-    for r0, r1, a, b in cuts:
-        local[a:b] = np.repeat(np.arange(r1 - r0, dtype=np.uint16),
-                               np.diff(indptr[r0:r1 + 1]))
-    width = max((b - a for _, _, a, b in cuts), default=0)
-    return cuts, local, width
+    id_type = np.int32 if n < 1 << 31 else np.int64
+    windows = []
+    for r0 in range(0, n, WINDOW):
+        r1 = min(r0 + WINDOW, n)
+        degree = np.diff(indptr[r0:r1 + 1])
+        order = np.argsort(-degree, kind="stable")
+        place = np.empty(r1 - r0, dtype=np.uint16)
+        place[order] = np.arange(r1 - r0, dtype=np.uint16)
+        degree = degree[order]
+        starts = indptr[r0:r1][order]
+        # the rows of more than j neighbours lead the sorted window
+        counts = np.searchsorted(-degree, -np.arange(min(COLUMNS, degree[0])))
+        columns = [indices[starts[:k] + j].astype(id_type)
+                   for j, k in enumerate(counts.tolist())]
+        tail = None
+        long = int(np.count_nonzero(degree > COLUMNS))
+        if long:
+            # the long rows' neighbours past the columns, row after row:
+            # the tail's t-th entry is at its row's start + COLUMNS + t,
+            # less the number of tail entries of the rows before it
+            extra = degree[:long] - COLUMNS
+            shift = np.repeat(starts[:long] + COLUMNS - (np.cumsum(extra) - extra),
+                              extra)
+            far = indices[shift + np.arange(shift.size)].astype(id_type)
+            rows = np.arange(long, dtype=np.uint16)
+            tail = (np.concatenate([rows, np.repeat(rows, extra)]), far)
+        windows.append((r0, r1, place, columns, tail))
+    return windows, min(n, WINDOW)

@@ -26,6 +26,7 @@ DEFAULT_ALPHA = 0.85
 # PageRank's CG takes the true residual below this L1 norm whatever the
 # tolerance: the recurrence's r would shrink on until its squares underflow
 _RESIDUAL_FLOOR = 1e-100
+_EPS = np.finfo(np.float64).eps
 
 
 def degree_centrality(g: Graph) -> CentralityVector:
@@ -82,11 +83,12 @@ def pagerank(
     ||r||_1 / (n - alpha s). Once the recurrence's residual meets
     ``tolerance`` by that bound, one SpMV of y gives the true residual;
     the solve stops when it meets it too, and restarts from it otherwise.
-    ``converged`` means exactly that the bound is at most ``tolerance``;
-    the scores then sum to 1 within it. The bound is the computed
-    residual's, whose rounding (about eps ||D y||_1, eps n / (1 - alpha))
-    is below it at tolerances above about 1e-15 / (1 - alpha); a
-    tolerance the float64 residual cannot meet runs to the cap.
+    The computed residual is r's only up to its own rounding, about
+    eps ||D y||_1 (eps n / (1 - alpha)), so the bound is (||r||_1 +
+    eps ||D y||_1) / (n - alpha s). ``converged`` means exactly that it is
+    at most ``tolerance``; the scores then sum to 1 within it. Below a
+    tolerance of about 1e-15 / (1 - alpha), which the float64 residual
+    cannot certify, the solve runs to the cap.
     ``max_iter`` caps the SpMVs (``spectral.DEFAULT_MAX_ITER``, read at
     the call, when None) and ``iterations_used`` counts them;
     ``stop_reason`` is ``"tolerance"``, ``"max_k"`` at the caller's cap or
@@ -120,7 +122,8 @@ def pagerank(
         g.spmv(p, -alpha, out=q)
         spmvs += 1
         q += np.multiply(d, p, out=z)  # (D - alpha A) p
-        step = rz / dot(p, q)
+        pq = dot(p, q)
+        step = rz / pq if pq else 0.0  # p is 0 once r is exactly 0
         y += np.multiply(p, step, out=z)
         r -= np.multiply(q, step, out=z)
         l1 = np.abs(r, out=z).sum()
@@ -131,14 +134,15 @@ def pagerank(
             g.spmv(y, alpha, out=r)
             spmvs += 1
             r -= np.multiply(d, y, out=z)
+            rounding = _EPS * np.abs(z, out=z).sum()  # eps ||D y||_1
             r += 1.0
             r[isolated] = 0.0
-            if np.abs(r, out=z).sum() <= limit:
+            if np.abs(r, out=z).sum() + rounding <= limit:
                 reason = "tolerance"
                 break
         np.divide(r, d, out=z)
         rz, previous = dot(r, z), rz
-        p *= 0.0 if refreshed else rz / previous
+        p *= 0.0 if refreshed or not previous else rz / previous
         p += z
     c = (1.0 - alpha) / scale
     y *= d

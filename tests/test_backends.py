@@ -8,10 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgain import Graph, backend, delta_sweep, _pykernels
 from pgain.analysis import SWEEP_COLUMNS
 from pgain.generate import barabasi_albert_edges, erdos_renyi_edges
+from pgain.graph import _csr
 
 from oracle import neighbors
 
@@ -119,17 +122,81 @@ def test_compiled_kernel_sums_rows_in_order(ckernels, edges):
         assert np.array_equal(run_kernel(kernel, g, x, 0.37), expected)
 
 
+WINDOW = _pykernels.WINDOW
+
+
+def assert_same_bits(got, want):
+    # np.array_equal calls -0.0 equal to 0.0; the kernels' bits must match
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("edges", [
-    # a star whose hub row is longer than a block, between short rows
-    [(0, 1), (1, 2)] + [(2, leaf) for leaf in range(3, _pykernels.BLOCK + 100)],
-    # more than 65,536 loop-only (empty) rows in a row, between edges
+    # a star whose hub row is longer than a window, between short rows; its
+    # leaves spill into the second window
+    [(0, 1), (1, 2)] + [(2, leaf) for leaf in range(3, WINDOW + 100)],
+    # more than two windows of loop-only (empty) rows, between edges: the
+    # second window has only empty rows
     [(0, 1)] + [(v, v) for v in range(2, 70_002)] + [(70_002, 1), (70_003, 0)],
-], ids=["row-longer-than-block", "70k-empty-rows"])
+    # rows of exactly COLUMNS and COLUMNS + 1 neighbours, and both ends of
+    # the neighbour columns on one row
+    [(0, leaf) for leaf in range(1, _pykernels.COLUMNS + 1)]
+    + [(100, leaf) for leaf in range(1, _pykernels.COLUMNS + 2)]
+    + [(200, leaf) for leaf in range(50, 50 + 3 * _pykernels.COLUMNS)],
+    # a hub in the third window only, after two windows of a path
+    [(v, v + 1) for v in range(2 * WINDOW + 10)]
+    + [(2 * WINDOW + 20, leaf) for leaf in range(2 * WINDOW + 30, 2 * WINDOW + 500)],
+    # a last window of only empty rows, after a hub in the first
+    [(0, leaf) for leaf in range(1, 200)]
+    + [(v, v) for v in range(200, 2 * WINDOW + 5)],
+], ids=["row-longer-than-block", "70k-empty-rows", "degree-32-and-33",
+        "hub-in-a-later-window", "empty-last-window"])
 def test_python_kernel_block_edges(edges):
     g = Graph.from_edges(edges)
     x = np.random.default_rng(3).standard_normal(g.node_count)
-    assert np.array_equal(run_kernel(_pykernels.spmv_csr, g, x, 0.37),
-                          sum_rows_in_order(g, x, 0.37))
+    assert_same_bits(run_kernel(_pykernels.spmv_csr, g, x, 0.37),
+                     sum_rows_in_order(g, x, 0.37))
+
+
+def test_python_kernel_hub_with_a_negative_partial_sum():
+    # the bincount that ends a long row starts from its partial sum over
+    # the neighbour columns, here negative, and adds the rest in order
+    cols = _pykernels.COLUMNS
+    g = Graph.from_edges([(0, leaf) for leaf in range(1, 3 * cols)])
+    x = np.full(g.node_count, 0.1)
+    x[1:cols + 1] = -np.random.default_rng(4).uniform(1.0, 3.0, cols)
+    x[cols + 1:] = np.random.default_rng(5).uniform(0.0, 1e-3, 2 * cols - 1)
+    got = run_kernel(_pykernels.spmv_csr, g, x, 1.3)
+    assert got[0] < 0
+    assert_same_bits(got, sum_rows_in_order(g, x, 1.3))
+
+
+def test_kernels_sum_signed_zeros_from_zero(ckernels):
+    # 0.0 + -0.0 is 0.0: a row of -0.0 neighbours sums to 0.0, not -0.0
+    g = Graph.from_edges([(0, 1), (1, 2), (2, 3)] + [(4, v) for v in range(5, 45)])
+    x = np.full(g.node_count, -0.0)
+    want = sum_rows_in_order(g, x, 2.0)
+    assert not np.signbit(want).any()
+    for kernel in (ckernels.spmv_csr, _pykernels.spmv_csr):
+        assert_same_bits(run_kernel(kernel, g, x, 2.0), want)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(WINDOW + 1, 5 * WINDOW // 2),
+       mean_degree=st.floats(0.0, 4.0),
+       hubs=st.lists(st.integers(0, 3 * _pykernels.COLUMNS), max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_python_kernel_sums_rows_in_order_across_windows(n, mean_degree, hubs, seed):
+    # random shapes over two or three windows: sparse rows, empty rows and
+    # hubs on either side of COLUMNS, anywhere
+    rng = np.random.default_rng(seed)
+    m = int(mean_degree * n / 2)
+    us = [rng.integers(0, n, m)] + [np.full(d, rng.integers(0, n)) for d in hubs]
+    vs = [rng.integers(0, n, m)] + [rng.integers(0, n, d) for d in hubs]
+    g = Graph(labels=tuple(map(str, range(n))),
+              **_csr(np.concatenate(us), np.concatenate(vs), n))
+    x = rng.standard_normal(n)
+    assert_same_bits(run_kernel(_pykernels.spmv_csr, g, x, 0.37),
+                     sum_rows_in_order(g, x, 0.37))
 
 
 def test_python_kernel_replans_a_writeable_indptr():
@@ -144,6 +211,20 @@ def test_python_kernel_replans_a_writeable_indptr():
     indices[:] = [2, 1]
     _pykernels.spmv_csr(indptr, indices, x, 1.0, out)
     np.testing.assert_array_equal(out, [0.0, 5.0, 3.0])
+
+
+def test_python_kernel_replans_a_writeable_indices():
+    # the plan copies the neighbour ids: a writeable indices may change
+    # between calls under a read-only indptr, and no plan may outlive it
+    indptr = _read_only(np.array([0, 1, 2, 2], dtype=np.int64))
+    indices = np.array([1, 0], dtype=np.int64)
+    x = np.array([2.0, 3.0, 5.0])
+    out = np.empty(3)
+    _pykernels.spmv_csr(indptr, indices, x, 1.0, out)
+    np.testing.assert_array_equal(out, [3.0, 2.0, 0.0])
+    indices[:] = [2, 2]  # nodes 0 and 1 now point at node 2
+    _pykernels.spmv_csr(indptr, indices, x, 1.0, out)
+    np.testing.assert_array_equal(out, [5.0, 5.0, 0.0])
 
 
 def test_concurrent_spmv_on_one_graph(monkeypatch):

@@ -127,6 +127,23 @@ class TestPagerank:
         assert np.all(v.scores == v.scores[0])
         assert abs(v.scores[0] - 0.1) <= 1e-14
 
+    def test_certificate_counts_the_residual_rounding(self):
+        # K_10 at alpha = 0.99: the computed residual met 1e-14 while the L1
+        # error was 2.0e-14. Its own rounding, eps ||D y||_1 / n = 2.2e-14,
+        # is above that tolerance, which then runs to the cap. The true
+        # residual is exactly 0 there, and CG must not divide by it, nor by
+        # the last one at an odd cap
+        g = Graph.from_edges(complete_edges(10))
+        for cap, reason in ((None, "safety_cap"), (301, "max_k")):
+            with warnings.catch_warnings(), np.errstate(all="raise"):
+                warnings.simplefilter("error")
+                v = pagerank(g, alpha=0.99, tolerance=1e-14, max_iter=cap)
+            assert (v.converged, v.stop_reason) == (False, reason)
+        for tol in (1e-13, 1e-12):
+            v = pagerank(g, alpha=0.99, tolerance=tol)
+            assert (v.converged, v.stop_reason) == (True, "tolerance")
+            assert np.abs(v.scores - 0.1).sum() <= tol
+
     def test_restart_after_a_failed_certificate(self):
         # at 1e-15 the true residual fails a certificate that the
         # recurrence's met: CG restarts from it (going on from the stale
