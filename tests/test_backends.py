@@ -137,8 +137,7 @@ def assert_same_bits(got, want):
     # more than two windows of loop-only (empty) rows, between edges: the
     # second window has only empty rows
     [(0, 1)] + [(v, v) for v in range(2, 70_002)] + [(70_002, 1), (70_003, 0)],
-    # rows of exactly COLUMNS and COLUMNS + 1 neighbours, and both ends of
-    # the neighbour columns on one row
+    # rows of exactly COLUMNS, COLUMNS + 1 and 3 * COLUMNS neighbours
     [(0, leaf) for leaf in range(1, _pykernels.COLUMNS + 1)]
     + [(100, leaf) for leaf in range(1, _pykernels.COLUMNS + 2)]
     + [(200, leaf) for leaf in range(50, 50 + 3 * _pykernels.COLUMNS)],
