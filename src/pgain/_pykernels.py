@@ -18,9 +18,10 @@ loop does, and the two kernels give bit-identical results. The sums go
 back to row order through each row's ``uint16`` place in the sorted
 window.
 
-The plan holds about 4 bytes per stored entry and 2 per row, and is built
-once per CSR. A call allocates buffers of one window's length, so nothing
-of the size of ``indices`` is allocated per call.
+The plan holds about 4 bytes per stored entry and 2 per row. It is built
+once per CSR that cannot change and freed with it. A call allocates
+buffers of one window's length, so nothing of the size of ``indices`` is
+allocated per call.
 """
 
 import weakref
@@ -30,9 +31,9 @@ import numpy as np
 WINDOW = 1 << 15  # rows per window of the numpy SpMV, so places fit uint16
 COLUMNS = 32  # neighbour columns per window; longer rows end in a bincount
 
-# (weakrefs to the last cached indptr and indices, their plan): one slot,
-# replaced whole
-_cached = (None, None, None)
+# id(indices) -> (weakref to its indptr, their plan), for every live CSR
+# that cannot change; an entry is dropped when its indices is freed
+_plans: dict = {}
 
 
 def spmv_csr(indptr, indices, x, scale, out):
@@ -68,18 +69,19 @@ def _plan(indptr, indices):
     ``columns`` the neighbour columns, and ``tail`` (None when no row is
     longer than ``COLUMNS``) the bincount's row ids and the neighbours past
     the last column. A CSR whose ``indptr`` and ``indices`` are both
-    read-only and own their data cannot change under the plan, so the last
-    one's plan is kept; any other is planned anew on every call. Threads
-    that race here at worst plan the same CSR twice, and either plan is
-    right."""
-    global _cached
-    indptr_ref, indices_ref, plan = _cached
-    if (indptr_ref is not None and indptr_ref() is indptr
-            and indices_ref() is indices):
-        return plan
+    read-only and own their data cannot change under the plan, so its plan
+    is kept until ``indices`` is freed, one per such CSR; any other is
+    planned anew on every call. Threads that race here at worst plan the
+    same CSR twice, and either plan is right."""
+    key = id(indices)  # no other live array has it
+    entry = _plans.get(key)
+    if entry is not None and entry[0]() is indptr:
+        return entry[1]
     plan = _build_plan(indptr, indices)
     if all(not a.flags.writeable and a.flags.owndata for a in (indptr, indices)):
-        _cached = (weakref.ref(indptr), weakref.ref(indices), plan)
+        if entry is None:
+            weakref.finalize(indices, _plans.pop, key, None)
+        _plans[key] = (weakref.ref(indptr), plan)
     return plan
 
 

@@ -4,9 +4,12 @@ Subcommands: ``compute`` (per-node scores), ``sweep`` (GPG correlations vs
 normalized decay), ``convergence`` (truncation-error trace), ``generate``
 (synthetic edge lists), ``spectral`` (lambda1 estimate). This is the one
 module that formats results: the library returns arrays and records, and
-every command's CSV goes through ``_write_csv`` (17-significant-digit
-floats, so identical runs are byte-identical); ``--format json`` switches
-to JSON. Summaries go to stderr.
+every command's CSV goes through ``_write_csv``; ``--format json`` switches
+to JSON. Summaries go to stderr. A CSV float is the text of ``"%.17g"``,
+byte for byte, so identical runs write identical files. ``_csvtext``
+computes its 17 digits exactly in numpy for 1e-11 < |v| < 1e17 and for
+±0, and leaves the other values to CPython's ``%.17g``; it lays out
+whole rows as bytes, the labels' text made once per command.
 
 Exit codes: 0 all requested computations converged, 1 I/O error,
 2 bad parameters or input, 3 a computation failed to converge (stopped at
@@ -37,7 +40,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from pgain import analysis, baselines, generate
+from pgain import _csvtext, analysis, baselines, generate
 from pgain.baselines import DEFAULT_ALPHA
 from pgain.errors import (ParameterError, PgainError, SeriesOverflowError,
                           check_cap, check_graph, check_tolerance,
@@ -48,7 +51,7 @@ from pgain.spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, lanczos
 from pgain.vectors import CentralityVector
 
 METRICS = ("deg", "ec", "pr", "katz", "gpg", "epg")
-CSV_CHUNK_ROWS = 8192  # rows (JSON scores) per write: no file is held whole
+CSV_CHUNK_ROWS = 4096  # rows (JSON scores) per write: no file is held whole
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -182,6 +185,8 @@ def _cmd_compute(args) -> int:
         made["deg"] = _timed(baselines.degree_centrality, graph)
     lam = estimates[0].lambda1 if estimates else math.nan
     all_converged = True
+    if args.format == "csv":
+        labels = _csvtext.LabelCells(graph.labels)
     if uses_lambda1 and not estimates[0].converged:
         print("pgain: warning: the lambda1 solve stopped at its iteration"
               " cap before converging", file=sys.stderr)
@@ -194,8 +199,7 @@ def _cmd_compute(args) -> int:
         all_converged &= vector.converged
         path = out_dir / f"{metric}.{args.format}"
         if args.format == "csv":
-            _write_csv(path, "node,score", "%s,%.17g", graph.labels,
-                       vector.scores)
+            _write_csv(path, "node,score", labels, vector.scores)
         else:
             _emit(path, _json_scores({
                 "metric": vector.metric,
@@ -247,15 +251,13 @@ def _cmd_sweep(args) -> int:
               file=sys.stderr)
     # NaN (an undefined correlation) is an empty CSV cell and a JSON null
     names = ["delta_star", *(f"rho_{c}" for c in analysis.SWEEP_COLUMNS)]
-    stars = result.delta_star_grid.tolist()
-    rho = [[None if math.isnan(v) else v for v in result.rho[c].tolist()]
-           for c in analysis.SWEEP_COLUMNS]
     if args.format == "csv":
-        cells = [["" if v is None else "%.17g" % v for v in column]
-                 for column in rho]
-        _write_csv(args.out, ",".join(names), "%.17g" + ",%s" * len(rho),
-                   stars, *cells)
+        _write_csv(args.out, ",".join(names), result.delta_star_grid,
+                   *(result.rho[c] for c in analysis.SWEEP_COLUMNS))
     else:
+        stars = result.delta_star_grid.tolist()
+        rho = [[None if math.isnan(v) else v for v in result.rho[c].tolist()]
+               for c in analysis.SWEEP_COLUMNS]
         payload = {"alpha": result.alpha, "lambda1": result.lambda1,
                    "rows": [dict(zip(names, row)) for row in zip(stars, *rho)]}
         _emit(args.out, [json.dumps(payload, indent=2) + "\n"])
@@ -272,7 +274,9 @@ def _cmd_convergence(args) -> int:
     kind = "geometric" if args.metric == "gpg" else "exponential"
     vector, trace = gain_with_trace(graph, params, kind=kind)
     if args.format == "csv":
-        _write_csv(args.out, "k,epsilon", "%d,%.17g", *zip(*trace.errors))
+        # a term count k < 2**53 is "%.17g" of float(k), as it is "%d" of k
+        _write_csv(args.out, "k,epsilon",
+                   *np.array(trace.errors, dtype=float).reshape(-1, 2).T)
     else:
         payload = {"metric": trace.metric, "params": trace.params,
                    "points": trace.errors}
@@ -317,21 +321,15 @@ def _cmd_spectral(args) -> int:
     return EXIT_OK if estimate.converged else EXIT_NOT_CONVERGED
 
 
-def _write_csv(out, header: str, row: str, *columns) -> None:
-    """Write the line ``header``, then the line ``row % (c[i] for c in
-    columns)`` for every index i of the equal-length ``columns``, to the
-    file ``out``, or to stdout when it is None. One ``%`` operation formats
-    each chunk of ``CSV_CHUNK_ROWS`` rows."""
-    width, row = len(columns), row + "\n"
-    with _open_out(out) as handle:
-        handle.write(header + "\n")
+def _write_csv(out, header: str, *columns) -> None:
+    """Write the line ``header``, then one row per index of the equal-length
+    ``columns`` (``_csvtext.LabelCells`` and float arrays, whose floats are
+    written as ``"%.17g"``, and a NaN as an empty cell), to the file ``out``,
+    or to stdout when it is None, ``CSV_CHUNK_ROWS`` rows at a time."""
+    with _open_out(out, binary=True) as handle:
+        handle.write(header.encode() + b"\n")
         for i in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-            chunk = [c[i:i + CSV_CHUNK_ROWS] for c in columns]
-            cells = [None] * (width * len(chunk[0]))
-            for k, part in enumerate(chunk):
-                cells[k::width] = (part.tolist() if isinstance(part, np.ndarray)
-                                   else part)
-            handle.write(row * len(chunk[0]) % tuple(cells))
+            handle.write(_csvtext.row_bytes(columns, i, i + CSV_CHUNK_ROWS))
 
 
 def _json_scores(head: dict, labels, scores: np.ndarray) -> Iterator[str]:
@@ -358,8 +356,13 @@ def _emit(out: str | None, pieces: Iterable[str]) -> None:
         handle.writelines(pieces)
 
 
-def _open_out(out):
-    return nullcontext(sys.stdout) if out is None else open(out, "w")
+def _open_out(out, binary=False):
+    if out is None:
+        if not binary:
+            return nullcontext(sys.stdout)
+        sys.stdout.flush()  # the text written before goes first
+        return nullcontext(sys.stdout.buffer)
+    return open(out, "wb" if binary else "w")
 
 
 if __name__ == "__main__":

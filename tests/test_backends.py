@@ -226,6 +226,30 @@ def test_python_kernel_replans_a_writeable_indices():
     np.testing.assert_array_equal(out, [5.0, 5.0, 0.0])
 
 
+def test_python_kernel_keeps_a_plan_per_graph(monkeypatch):
+    # products alternating between two graphs plan each graph once, and a
+    # dropped graph's plan goes with it
+    builds = []
+    build = _pykernels._build_plan
+    monkeypatch.setattr(_pykernels, "_build_plan",
+                        lambda *arrays: builds.append(1) or build(*arrays))
+    graphs = [Graph.from_edges(barabasi_albert_edges(3000, 3, seed=seed))
+              for seed in (1, 2)]
+    xs = [np.random.default_rng(k).standard_normal(g.node_count)
+          for k, g in enumerate(graphs)]
+    for _ in range(3):
+        for g, x in zip(graphs, xs):
+            assert_same_bits(run_kernel(_pykernels.spmv_csr, g, x, 0.5),
+                             sum_rows_in_order(g, x, 0.5))
+    assert len(builds) == 2
+    keys = [id(g.indices) for g in graphs]
+    assert all(key in _pykernels._plans for key in keys)
+    del g, graphs[1]
+    assert keys[0] in _pykernels._plans and keys[1] not in _pykernels._plans
+    run_kernel(_pykernels.spmv_csr, graphs[0], xs[0], 0.5)
+    assert len(builds) == 2
+
+
 def test_concurrent_spmv_on_one_graph(monkeypatch):
     # more threads than cores, switching often, on one graph and one plan
     # of the numpy kernel: a buffer shared between calls would mix their
